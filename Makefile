@@ -85,23 +85,23 @@ obs-check:
 
 # Frozen-kernel equivalence gate: the differential fuzz suite proving the
 # baked read kernels are bitwise identical to the dense reference, plus
-# the session-level kernel-on/kernel-off comparison, under the race
-# detector (DESIGN.md §10).
+# the session-level comparison against the kernel-off oracle, under the
+# race detector (DESIGN.md §10).
 kernel-check:
 	$(GO) test -race -count=1 ./internal/crossbar -run 'TestMACReadKernel|TestKernelInvalidation|TestKernelFresh|TestMACReadPacked'
-	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionFrozenKernel|TestCompileBakesKernels|TestWearSessionSkipsBake'
+	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionFrozenKernel|TestCompileBakesKernels'
 	@echo "frozen kernels bitwise identical to the dense reference"
 
 # Event-driven identity gate (DESIGN.md §15): the packed-plane property
-# suite, the session-level event-vs-dense bitwise comparisons at
-# parallelism 1/4/NumCPU under the race detector, and the sparsity
-# study itself, which errors unless every activity level (1%, 10%,
-# 50%, dense) is bitwise identical between the event and dense walks.
-# Writes BENCH_sparse.json with the speedups and skip counters.
+# suite, then the session-level comparisons against the forced-dense
+# oracle under the race detector — every event run at parallelism
+# 1/4/NumCPU must be bitwise identical to the oracle, which must never
+# touch the packed path, on the trained, conv and hybrid fixtures and
+# at 1%, 10%, 50% and 100% input activity (TestSparseOracleSweep).
+# The timing side is `go test -bench Oracle ./internal/arch`.
 sparse-check:
 	$(GO) test -race -count=1 ./internal/spikeplane
-	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionEventDriven|TestSuperTileEvaluateReadPacked'
-	$(GO) run ./cmd/nebula-bench -exp sparse
+	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionEventDriven|TestSuperTileEvaluateReadPacked|TestSparseOracleSweep'
 	@echo "event-driven stepping bitwise identical to the dense walk"
 
 # Chip-image determinism gate (DESIGN.md §13): two compiles of the same

@@ -281,7 +281,7 @@ func BenchmarkPowerProfile_TraceReplay(b *testing.B) {
 
 func BenchmarkFaultResilience(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.FaultResilience(10, 50)
+		r, err := experiments.FaultResilience(context.Background(), 10, 50)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -386,8 +386,8 @@ func BenchmarkSession_ParallelNumCPU(b *testing.B) {
 // activity: every pixel carries the target activity as its intensity
 // and a gain-1 Poisson encoder turns that into Bernoulli spike planes
 // of that expected density — the low-rate regime the event-driven
-// stepping engine exists for (BENCH_sparse.json sweeps the same knob
-// against the dense walk).
+// stepping engine exists for (BenchmarkSparseOracle in internal/arch
+// sweeps the same knob against the dense walk).
 func benchmarkSessionSparse(b *testing.B, activity float64) {
 	pipe, imgs0 := sessionFixture(b)
 	imgs := make([]*tensor.Tensor, len(imgs0))

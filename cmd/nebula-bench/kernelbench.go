@@ -1,18 +1,13 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"time"
 
-	"repro/internal/arch"
-	"repro/internal/core"
 	"repro/internal/crossbar"
-	"repro/internal/dataset"
 	"repro/internal/device"
-	"repro/internal/models"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -27,26 +22,10 @@ type kernelMACPoint struct {
 	Speedup       float64 `json:"speedup"`
 }
 
-// kernelSessionBench is the end-to-end half of the record: the same
-// compiled SNN workload run once with frozen kernels disabled and once
-// with them on (the default).
-type kernelSessionBench struct {
-	Workload         string  `json:"workload"`
-	Images           int     `json:"images"`
-	Timesteps        int     `json:"timesteps"`
-	DenseSec         float64 `json:"dense_sec"`
-	KernelSec        float64 `json:"kernel_sec"`
-	DenseImgPerSec   float64 `json:"dense_img_per_sec"`
-	KernelImgPerSec  float64 `json:"kernel_img_per_sec"`
-	Speedup          float64 `json:"speedup"`
-	BitwiseIdentical bool    `json:"bitwise_identical"`
-}
-
 // kernelBench is the BENCH_kernel.json schema.
 type kernelBench struct {
-	Env     benchEnv           `json:"env"`
-	MACRead []kernelMACPoint   `json:"macread"`
-	Session kernelSessionBench `json:"session"`
+	Env     benchEnv         `json:"env"`
+	MACRead []kernelMACPoint `json:"macread"`
 }
 
 // benchMACRead times one read path over iters evaluations and returns
@@ -63,16 +42,12 @@ func benchMACRead(cb *crossbar.Crossbar, in []float64, act []int, iters int) (fl
 	return float64(time.Since(start).Nanoseconds()) / float64(iters), nil
 }
 
-// runKernelBench measures the frozen-kernel read path against the dense
-// reference — first the MACRead microbenchmark sweep across activity
-// levels, then the trained MLP workload end to end — verifies the two
-// engines agree bit for bit, and writes the record to outPath.
-func runKernelBench(images, T int, outPath string) error {
-	if images < 8 {
-		images = 8
-	}
-
-	// --- MACRead sweep: 128×128 array, IR drop on, event-driven reads.
+// runKernelBench runs the MACRead microbenchmark sweep: the frozen-kernel
+// read path against the dense reference across activity levels, written
+// to outPath. The session-level kernel-on/kernel-off comparison is
+// BenchmarkKernelOracle in internal/arch.
+func runKernelBench(outPath string) error {
+	// 128×128 array, IR drop on, event-driven reads.
 	const rows, cols, iters = 128, 128, 4000
 	cb := crossbar.New(rows, cols, device.DefaultParams(), crossbar.Config{IRDropAlpha: 0.3}, nil)
 	w := tensor.New(rows, cols)
@@ -111,74 +86,7 @@ func runKernelBench(images, T int, outPath string) error {
 			frac*100, denseNs, kernNs, pt.Speedup)
 	}
 
-	// --- End-to-end: trained MLP SNN workload, kernels off vs on.
-	sim := core.New()
-	tr, te := dataset.TrainTest(dataset.MNISTLike, 400, images, 77)
-	net := models.NewMLP3(1, 16, 10, rng.New(5))
-	pipe, err := sim.Build(net, tr, te, core.DefaultPipelineConfig())
-	if err != nil {
-		return err
-	}
-	imgs := make([]*tensor.Tensor, images)
-	for i := range imgs {
-		imgs[i], _ = pipe.Test.Sample(i)
-	}
-	ctx := context.Background()
-
-	run := func(opts ...arch.Option) ([]*arch.RunResult, time.Duration, error) {
-		sess, err := pipe.CompileChip(T, 1, opts...)
-		if err != nil {
-			return nil, 0, err
-		}
-		start := time.Now()
-		res, err := sess.RunBatch(ctx, imgs)
-		return res, time.Since(start), err
-	}
-
-	denseRes, denseDur, err := run(arch.WithFrozenKernel(false))
-	if err != nil {
-		return err
-	}
-	kernRes, kernDur, err := run()
-	if err != nil {
-		return err
-	}
-
-	identical := true
-	for i := range denseRes {
-		dd, kd := denseRes[i].Output.Data(), kernRes[i].Output.Data()
-		for j := range dd {
-			//nebula:lint-ignore float-eq bitwise determinism check: any rounding difference is the bug being detected
-			if dd[j] != kd[j] {
-				identical = false
-			}
-		}
-	}
-
-	rec := kernelBench{
-		Env:     captureEnv(),
-		MACRead: points,
-		Session: kernelSessionBench{
-			Workload:         "mlp3-mnistlike",
-			Images:           images,
-			Timesteps:        T,
-			DenseSec:         denseDur.Seconds(),
-			KernelSec:        kernDur.Seconds(),
-			DenseImgPerSec:   float64(images) / denseDur.Seconds(),
-			KernelImgPerSec:  float64(images) / kernDur.Seconds(),
-			Speedup:          denseDur.Seconds() / kernDur.Seconds(),
-			BitwiseIdentical: identical,
-		},
-	}
-
-	fmt.Printf("session kernel vs dense: %s, %d images, T=%d\n", rec.Session.Workload, images, T)
-	fmt.Printf("  dense  engine: %8.2f img/s  (%v)\n", rec.Session.DenseImgPerSec, denseDur.Round(time.Millisecond))
-	fmt.Printf("  kernel engine: %8.2f img/s  (%v)\n", rec.Session.KernelImgPerSec, kernDur.Round(time.Millisecond))
-	fmt.Printf("  speedup %.2fx, bitwise identical: %v\n", rec.Session.Speedup, identical)
-	if !identical {
-		return fmt.Errorf("frozen-kernel outputs diverged from the dense engine")
-	}
-
+	rec := kernelBench{Env: captureEnv(), MACRead: points}
 	f, err := os.Create(outPath)
 	if err != nil {
 		return err

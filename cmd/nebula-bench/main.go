@@ -10,8 +10,8 @@
 //
 // Experiments: fig1, fig4, fig9, fig10, fig12, fig13a, fig13b, fig14,
 // fig15, fig16, fig17, table1, table2, table3, noise, ablations,
-// sensitivity, profile, faults, session, kernel, sparse, obs,
-// resilience, compile, serve, all.
+// sensitivity, profile, faults, session, kernel, obs, resilience,
+// compile, serve, all.
 //
 // The resilience experiment replays a seeded chaos storm (drift bursts,
 // stuck-device onset, replica kills, run faults, deadline pressure)
@@ -23,15 +23,11 @@
 // The session experiment times the program-once / run-many engine
 // (sequential vs batched at -parallel workers) and records the baseline
 // in a JSON file (-benchout, default BENCH_session.json). The kernel
-// experiment measures the frozen-conductance read kernels against the
-// dense reference walk — a MACRead sweep across activity levels plus
-// the trained SNN workload end to end — verifies bitwise identity, and
-// records the speedups (-kernelout, default BENCH_kernel.json). The
-// sparse experiment sweeps controlled input-activity levels (1%, 10%,
-// 50%, dense) through the event-driven stepping engine against the
-// dense reference walk, verifies bitwise identity at every level, and
-// records the speedups plus the silent-skip/packed-word/repeat-read
-// counters (-sparseout, default BENCH_sparse.json). The obs
+// experiment times a MACRead sweep across activity levels, frozen read
+// kernel against the dense reference, and records the speedups
+// (-kernelout, default BENCH_kernel.json); the session-level
+// kernel-off and dense-walk comparisons are `go test -bench Oracle
+// ./internal/arch`. The obs
 // experiment streams a batch through observed sessions in every mode
 // and records the counter snapshots plus their energy attribution
 // (-obsout, default BENCH_obs.json); the record carries no timings, so
@@ -60,6 +56,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -89,7 +86,6 @@ func run() int {
 	resOut := flag.String("resout", "BENCH_resilience.json", "output path for the resilience chaos-study record")
 	compileOut := flag.String("compileout", "BENCH_compile.json", "output path for the compile-vs-image-load record")
 	serveOut := flag.String("serveout", "BENCH_serve.json", "output path for the serving-tier load-study record")
-	sparseOut := flag.String("sparseout", "BENCH_sparse.json", "output path for the event-driven sparsity-study record")
 	resSmoke := flag.Bool("res-smoke", false, "run the resilience experiment at chaos-smoke scale")
 	serveSmoke := flag.Bool("serve-smoke", false, "run the serve experiment at smoke scale (clock-free determinism phase only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
@@ -257,7 +253,7 @@ func run() int {
 			return nil
 		},
 		"faults": func() error {
-			r, err := experiments.FaultResilience(*samples/2+1, 60)
+			r, err := experiments.FaultResilience(context.Background(), *samples/2+1, 60)
 			if err != nil {
 				return err
 			}
@@ -278,10 +274,7 @@ func run() int {
 			return runSessionBench(64, 40, *parallel, *benchOut)
 		},
 		"kernel": func() error {
-			return runKernelBench(64, 40, *kernelOut)
-		},
-		"sparse": func() error {
-			return runSparseBench(16, 40, *sparseOut)
+			return runKernelBench(*kernelOut)
 		},
 		"obs": func() error {
 			return runObsBench(16, 20, *parallel, *obsOut)
@@ -309,7 +302,7 @@ func run() int {
 		"fig1", "table3", "fig12", "fig13a", "fig13b", "fig14", "fig15",
 		"fig16", "fig17", "ablations", "sensitivity", "table1", "table2",
 		"fig4", "fig9", "fig10", "noise", "profile", "faults", "session",
-		"kernel", "sparse", "obs", "resilience", "compile", "serve",
+		"kernel", "obs", "resilience", "compile", "serve",
 	}
 
 	names := strings.Split(*exp, ",")

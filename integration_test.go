@@ -2,7 +2,7 @@ package repro
 
 // Full-stack integration test: one model travels the entire flow the
 // repository implements — train → calibrate → quantize → convert → dense
-// SNN eval → event-driven eval → hybrid split → chip-level execution →
+// SNN eval → hybrid split → chip-level execution →
 // shape derivation → mapping → placement → compiled schedule → routed NoC
 // traffic → analytic energy → trace replay. Each stage's output feeds the
 // next, so this test fails if any cross-package contract drifts.
@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/energy"
-	"repro/internal/event"
 	"repro/internal/hybrid"
 	"repro/internal/mapping"
 	"repro/internal/models"
@@ -51,19 +50,7 @@ func TestFullStackIntegration(t *testing.T) {
 		t.Fatalf("SNN accuracy %v vs ANN %v", snnRes.Accuracy, annAcc)
 	}
 
-	// 3. Event-driven engine agrees with the dense simulator.
-	eng, err := event.FromConverted(pipe.Converted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, label := testDS.Sample(0)
-	evRes := eng.Run(img, T, snn.NewPoissonEncoder(1.0, rng.New(5)))
-	dnRes := pipe.Converted.SNN.Run(img, T, snn.NewPoissonEncoder(1.0, rng.New(5)))
-	if evRes.Predict() != dnRes.Predict() {
-		t.Fatal("event and dense engines disagree")
-	}
-
-	// 4. Hybrid split classifies.
+	// 3. Hybrid split classifies.
 	hyb, err := hybrid.Split(pipe.Converted, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +59,8 @@ func TestFullStackIntegration(t *testing.T) {
 		t.Fatalf("hybrid accuracy %v", acc)
 	}
 
-	// 5. Chip-level hardware execution.
+	// 4. Chip-level hardware execution.
+	img, label := testDS.Sample(0)
 	hwRes, hwLabel, err := pipe.RunOnChip(0, 60)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +72,7 @@ func TestFullStackIntegration(t *testing.T) {
 		t.Fatalf("fixture mismatch: %d vs %d", hwLabel, label)
 	}
 
-	// 6. Shape derivation → mapping → placement → compile.
+	// 5. Shape derivation → mapping → placement → compile.
 	w, err := models.FromNetwork("mlp3-scaled", pipe.ANN, 1, 16, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -102,13 +90,13 @@ func TestFullStackIntegration(t *testing.T) {
 		t.Fatalf("empty schedule: %+v", sched)
 	}
 
-	// 7. Routed NoC traffic.
+	// 6. Routed NoC traffic.
 	traffic := assign.SimulateTraffic(placement.SNNTraffic(T, snnRes.MeanInputRate))
 	if traffic.Stats.Packets == 0 || traffic.EnergyJ() <= 0 {
 		t.Fatalf("no traffic: %+v", traffic)
 	}
 
-	// 8. Analytic energy for the derived workload, both modes.
+	// 7. Analytic energy for the derived workload, both modes.
 	em := energy.NewModel()
 	ann := em.ANNNetwork(np)
 	snnE := em.SNNNetwork(np, T, energy.DefaultActivity(w, snnRes.MeanInputRate))
@@ -119,7 +107,7 @@ func TestFullStackIntegration(t *testing.T) {
 		t.Fatalf("SNN power %v not below ANN %v", snnE.AvgPowerW, ann.AvgPowerW)
 	}
 
-	// 9. Trace replay through the same workload shapes.
+	// 8. Trace replay through the same workload shapes.
 	_, tr := pipe.Converted.SNN.RunTraced(img, T, snn.NewPoissonEncoder(1.0, rng.New(9)))
 	em2 := energy.NewModel()
 	em2.SNNParallelism = 1
@@ -131,7 +119,7 @@ func TestFullStackIntegration(t *testing.T) {
 		t.Fatalf("degenerate replay: %+v", rep)
 	}
 
-	// 10. The conversion metadata stays internally consistent.
+	// 9. The conversion metadata stays internally consistent.
 	var weighted int
 	for _, st := range pipe.Converted.Stages {
 		if st.Weighted {

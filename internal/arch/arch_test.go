@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/rng"
-	"repro/internal/snn"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -252,7 +252,7 @@ var (
 	chipTest *dataset.Dataset
 )
 
-func chipFixture(t *testing.T) (*convert.Converted, *dataset.Dataset) {
+func chipFixture(t testing.TB) (*convert.Converted, *dataset.Dataset) {
 	t.Helper()
 	chipOnce.Do(func() {
 		tr, te := dataset.TrainTest(dataset.MNISTLike, 400, 100, 77)
@@ -270,19 +270,29 @@ func chipFixture(t *testing.T) (*convert.Converted, *dataset.Dataset) {
 	return chipConv, chipTest
 }
 
+// runOnChip compiles c onto chip once and runs imgs through the session
+// in one batch.
+func runOnChip(t *testing.T, chip *Chip, c *convert.Converted, imgs []*tensor.Tensor, opts ...Option) []*RunResult {
+	t.Helper()
+	sess, err := chip.Compile(c, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.RunBatch(context.Background(), imgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestChipRunSNNClassifies(t *testing.T) {
 	c, te := chipFixture(t)
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, nil)
 	correct := 0
 	const n, T = 25, 80
-	r := rng.New(3)
-	for i := 0; i < n; i++ {
-		img, label := te.Sample(i)
-		res, err := chip.RunSNN(c, img, T, snn.NewPoissonEncoder(1.0, r.Split()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Prediction == label {
+	results := runOnChip(t, chip, c, sessionImages(t, te, n), WithMode(ModeSNN), WithTimesteps(T), WithSeed(3))
+	for i, res := range results {
+		if _, label := te.Sample(i); res.Prediction == label {
 			correct++
 		}
 		if res.Spikes <= 0 || res.Cycles <= 0 {
@@ -301,12 +311,9 @@ func TestChipRunANNMatchesSoftware(t *testing.T) {
 	swAcc := 0
 	hwAcc := 0
 	const n = 30
-	for i := 0; i < n; i++ {
+	results := runOnChip(t, chip, c, sessionImages(t, te, n), WithMode(ModeANN))
+	for i, res := range results {
 		img, label := te.Sample(i)
-		res, err := chip.RunANN(c, img)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if res.Prediction == label {
 			hwAcc++
 		}
@@ -327,14 +334,9 @@ func TestChipSNNWithNoiseStillWorks(t *testing.T) {
 	chip := NewChip(device.DefaultParams(), crossbar.Config{ReadNoiseSigma: 0.05}, rng.New(11))
 	correct := 0
 	const n, T = 20, 80
-	r := rng.New(13)
-	for i := 0; i < n; i++ {
-		img, label := te.Sample(i)
-		res, err := chip.RunSNN(c, img, T, snn.NewPoissonEncoder(1.0, r.Split()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Prediction == label {
+	results := runOnChip(t, chip, c, sessionImages(t, te, n), WithMode(ModeSNN), WithTimesteps(T), WithSeed(13))
+	for i, res := range results {
+		if _, label := te.Sample(i); res.Prediction == label {
 			correct++
 		}
 	}
@@ -360,10 +362,8 @@ func TestChipRunsGroupedConv(t *testing.T) {
 	}
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, nil)
 	img, _ := d.Sample(0)
-	res, err := chip.RunSNN(conv, img, 20, snn.NewPoissonEncoder(1, rng.New(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnChip(t, chip, conv, []*tensor.Tensor{img},
+		WithMode(ModeSNN), WithTimesteps(20), WithInputShape(img.Shape()...))[0]
 	if res.Output.Size() != 4 {
 		t.Fatalf("output size %d", res.Output.Size())
 	}

@@ -1,7 +1,6 @@
 package arch
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/convert"
@@ -123,10 +122,7 @@ type RunResult struct {
 	// cache; the replayed read's stats are re-charged, so results and
 	// crossbar accounting are identical to a cache-free event run.
 	RepeatReads int64
-	// Crossbar collects the run's crossbar activity on the session
-	// engine's frozen-conductance path (wear-mode runs accumulate into
-	// the arrays' own counters instead, as the deprecated entry points
-	// always did).
+	// Crossbar collects the run's crossbar activity.
 	Crossbar crossbar.Stats
 }
 
@@ -220,7 +216,7 @@ func (ch *Chip) injectFaults(st *SuperTile) {
 
 // coreCfg derives the crossbar configuration for a new core: the chip's
 // base config plus the reliability knobs (spare lines under
-// sparing+remap, read disturb and drift from the fault profile).
+// sparing+remap, drift from the fault profile).
 func (ch *Chip) coreCfg() crossbar.Config {
 	cfg := ch.Cfg
 	if ch.Rel != nil {
@@ -228,7 +224,6 @@ func (ch *Chip) coreCfg() crossbar.Config {
 			cfg.SpareRows = ch.Rel.Policy.SpareRows
 			cfg.SpareCols = ch.Rel.Policy.SpareCols
 		}
-		cfg.ReadDisturbProb = ch.Rel.Faults.ReadDisturbProb
 		cfg.DriftTauSteps = ch.Rel.Faults.DriftTauSteps
 	}
 	return cfg
@@ -275,33 +270,4 @@ func (ch *Chip) programSpill(sp *RUSpillCore, km *tensor.Tensor, positions int) 
 		return sp.configure(km, ch.WMax, positions)
 	}
 	return sp.Program(km, ch.WMax, positions)
-}
-
-// RunSNN executes T Poisson-encoded timesteps of one image through the
-// hardware. Conv stages time-multiplex output positions over their core
-// with per-position replica neurons; the membrane of every neuron lives
-// in its device between timesteps.
-//
-// Deprecated: RunSNN re-compiles the whole pipeline per call. Use
-// Compile with WithMode(ModeSNN) once, then Run/RunBatch per input; this
-// shim is a Compile + one wear-mode Run with the caller's encoder.
-func (ch *Chip) RunSNN(c *convert.Converted, img *tensor.Tensor, T int, enc *snn.PoissonEncoder) (*RunResult, error) {
-	sess, err := ch.Compile(c,
-		WithMode(ModeSNN),
-		WithTimesteps(T),
-		WithSharedEncoder(enc),
-		WithInputShape(img.Shape()...),
-		WithWear(true))
-	if err != nil {
-		return nil, err
-	}
-	//nebula:lint-ignore ctxflow deprecated shim has no ctx to thread; callers wanting deadlines use Compile+Run
-	return sess.Run(context.Background(), img)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,6 @@
 package arch
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/convert"
@@ -33,8 +32,8 @@ type annStageHW struct {
 }
 
 // buildANNStages lowers the converted stages from index `from` onward
-// onto programmed (and protected) ANN cores — the compile-time half of
-// the legacy per-call RunANN path, in the same core/stream order.
+// onto programmed (and protected) ANN cores, drawing one noise stream
+// per core in stage order.
 func (ch *Chip) buildANNStages(c *convert.Converted, from int) ([]*annStageHW, error) {
 	var stages []*annStageHW
 	for _, st := range c.Stages[from:] {
@@ -83,21 +82,4 @@ func (ch *Chip) buildANNStages(c *convert.Converted, from int) ([]*annStageHW, e
 		}
 	}
 	return stages, nil
-}
-
-// RunANN executes one image through the same converted (normalized)
-// network in ANN mode. Inputs are pixel intensities in [0, 1]; because
-// the converted weights are normalized, every intermediate activation
-// also lives in [0, 1].
-//
-// Deprecated: RunANN re-programs every core per call. Use Compile with
-// WithMode(ModeANN) once, then Run/RunBatch per input; this shim is a
-// Compile + one wear-mode Run.
-func (ch *Chip) RunANN(c *convert.Converted, img *tensor.Tensor) (*RunResult, error) {
-	sess, err := ch.Compile(c, WithMode(ModeANN), WithWear(true))
-	if err != nil {
-		return nil, err
-	}
-	//nebula:lint-ignore ctxflow deprecated shim has no ctx to thread; callers wanting deadlines use Compile+Run
-	return sess.Run(context.Background(), img)
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/crossbar"
 	"repro/internal/device"
 	"repro/internal/rng"
-	"repro/internal/snn"
 	"repro/internal/tensor"
 )
 
@@ -41,14 +40,10 @@ func TestChipRunHybridClassifies(t *testing.T) {
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, nil)
 	correct := 0
 	const n, T = 20, 60
-	r := rng.New(31)
-	for i := 0; i < n; i++ {
-		img, label := te.Sample(i)
-		res, err := chip.RunHybrid(c, 1, img, T, snn.NewPoissonEncoder(1.0, r.Split()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Prediction == label {
+	results := runOnChip(t, chip, c, sessionImages(t, te, n),
+		WithMode(ModeHybrid), WithHybridSplit(1), WithTimesteps(T), WithSeed(31))
+	for i, res := range results {
+		if _, label := te.Sample(i); res.Prediction == label {
 			correct++
 		}
 		if res.Spikes <= 0 {
@@ -65,20 +60,13 @@ func TestChipRunHybridDeepSplit(t *testing.T) {
 	// approach the pure-ANN chip run.
 	c, te := chipFixture(t)
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, nil)
-	r := rng.New(33)
 	matches := 0
 	const n, T = 15, 80
-	for i := 0; i < n; i++ {
-		img, _ := te.Sample(i)
-		hyb, err := chip.RunHybrid(c, 2, img, T, snn.NewPoissonEncoder(1.0, r.Split()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ann, err := chip.RunANN(c, img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hyb.Prediction == ann.Prediction {
+	imgs := sessionImages(t, te, n)
+	hyb := runOnChip(t, chip, c, imgs, WithMode(ModeHybrid), WithHybridSplit(2), WithTimesteps(T), WithSeed(33))
+	ann := runOnChip(t, chip, c, imgs, WithMode(ModeANN))
+	for i := range imgs {
+		if hyb[i].Prediction == ann[i].Prediction {
 			matches++
 		}
 	}
@@ -88,14 +76,12 @@ func TestChipRunHybridDeepSplit(t *testing.T) {
 }
 
 func TestChipRunHybridSplitBounds(t *testing.T) {
-	c, te := chipFixture(t)
+	c, _ := chipFixture(t)
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, nil)
-	img, _ := te.Sample(0)
-	enc := snn.NewPoissonEncoder(1.0, rng.New(1))
-	if _, err := chip.RunHybrid(c, 0, img, 5, enc); err == nil {
+	if _, err := chip.Compile(c, WithMode(ModeHybrid), WithHybridSplit(0), WithTimesteps(5)); err == nil {
 		t.Fatal("split 0 accepted")
 	}
-	if _, err := chip.RunHybrid(c, 3, img, 5, enc); err == nil {
+	if _, err := chip.Compile(c, WithMode(ModeHybrid), WithHybridSplit(3), WithTimesteps(5)); err == nil {
 		t.Fatal("all-ANN split accepted (no spiking layer left)")
 	}
 }
@@ -103,19 +89,18 @@ func TestChipRunHybridSplitBounds(t *testing.T) {
 func TestChipFaultResilience(t *testing.T) {
 	// Neuromorphic inference degrades gracefully under stuck-at faults
 	// (§IV-D: "neuromorphic applications are known to be resilient").
+	// Each sample compiles its own session, so each sees a fresh draw of
+	// the chip's fault population.
 	c, te := chipFixture(t)
 	accAt := func(rate float64) float64 {
 		chip := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(21))
 		chip.FaultRate = rate
 		correct := 0
 		const n, T = 20, 60
-		r := rng.New(23)
 		for i := 0; i < n; i++ {
 			img, label := te.Sample(i)
-			res, err := chip.RunSNN(c, img, T, snn.NewPoissonEncoder(1.0, r.Split()))
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runOnChip(t, chip, c, []*tensor.Tensor{img},
+				WithMode(ModeSNN), WithTimesteps(T), WithSeed(23+uint64(i)))[0]
 			if res.Prediction == label {
 				correct++
 			}

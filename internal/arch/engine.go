@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/crossbar"
 	"repro/internal/device"
-	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/snn"
@@ -18,11 +17,12 @@ import (
 
 // This file is the session execution engine: the unified stage stepper
 // shared by every mode, the per-run scratch arena, and the RunBatch
-// worker pool. One implementation serves both execution regimes — the
-// wear path (sequential, mutating crossbar reads, retention ticking,
-// mesh traffic: the semantics of the deprecated entry points) and the
-// frozen-conductance path (wear-free crossbar reads against programmed
-// state, safe for any number of concurrent workers).
+// worker pool. Every run reads the programmed state through the frozen
+// read kernels without mutating it, so any number of workers may run
+// concurrently. A run without a read-noise stream takes the
+// event-driven walk (bit-packed spike planes, silent-stage skips, the
+// timestep-repeat cache); a noisy run takes the dense walk, because
+// skipping a read would shift its noise draws (DESIGN.md §15).
 
 // runStreams are the two private RNG streams reserved for one input:
 // the encoder stream and the crossbar read-noise stream. Reservation
@@ -74,9 +74,8 @@ type stageRun struct {
 	// outAcc accumulates read-out increments across timesteps.
 	outAcc *tensor.Tensor
 
-	// sums receives the stage's crossbar column sums (frozen path only;
-	// the wear path keeps its allocating reads). fire receives the spike
-	// vector; its tensor wrapper is rebuilt per step (cheap header).
+	// sums receives the stage's crossbar column sums. fire receives the
+	// spike vector; its tensor wrapper is rebuilt per step (cheap header).
 	sums, fire []float64
 	// act gathers the indices of the non-zero input entries — the spike
 	// list handed down to the crossbar kernels.
@@ -170,15 +169,11 @@ func (st *runState) reset() {
 
 // execEnv parameterizes one run's execution regime.
 type execEnv struct {
-	ch   *Chip
-	wear bool
 	// noise is the run's private read-noise stream (nil when the chip has
-	// no noise generator or in wear mode, where arrays draw from their
-	// own streams).
+	// no noise generator).
 	noise *rng.Rand
-	// cross collects crossbar activity on the frozen-conductance path
-	// (nil in wear mode, where the arrays' shared counters accumulate).
-	cross *crossbar.Stats
+	// cross collects the run's crossbar activity.
+	cross crossbar.Stats
 	// shard is the run's private counter shard (nil: observation
 	// disabled, the engine takes no accounting branches).
 	shard *obs.RunRecord
@@ -187,8 +182,8 @@ type execEnv struct {
 	// event selects the bit-packed event-driven stepping path: spike
 	// planes thread between stages, silent stages and windows skip
 	// their reads, and dense stages consult the timestep-repeat cache.
-	// Only enabled off the wear path with a nil read-noise stream, so
-	// skipping reads cannot shift an RNG stream (DESIGN.md §15).
+	// Only enabled with a nil read-noise stream, so skipping reads
+	// cannot shift an RNG stream (DESIGN.md §15).
 	event bool
 	// sc is the evaluation scratch of callers without a stage-owned one
 	// (the continuous ANN stages).
@@ -208,18 +203,12 @@ func (env *execEnv) mark(res *RunResult) stageMark {
 	m := stageMark{cycles: res.Cycles, spikes: res.Spikes, packets: res.NoCPackets,
 		hops: res.NoCHops, adc: res.ADCConversions, edram: res.EDRAMAccesses,
 		skips: res.SilentStageSkips, skipped: res.SpikesSkipped,
-		packed: res.PackedWords, repeats: res.RepeatReads}
-	if env.cross != nil {
-		m.cross = *env.cross
-	}
+		packed: res.PackedWords, repeats: res.RepeatReads, cross: env.cross}
 	return m
 }
 
 // observe folds the delta since m into one shard bucket and returns the
-// stage's spike count for tracing. Crossbar-level counters (MAC reads,
-// driven rows, output current) are only attributable on the
-// frozen-conductance path; wear-mode runs accumulate them into the
-// arrays' own counters, as the deprecated entry points always did.
+// stage's spike count for tracing.
 func (env *execEnv) observe(m stageMark, res *RunResult, c *obs.Counters) int64 {
 	dSpikes := res.Spikes - m.spikes
 	c.SpikesEmitted += dSpikes
@@ -232,33 +221,27 @@ func (env *execEnv) observe(m stageMark, res *RunResult, c *obs.Counters) int64 
 	c.SpikesSkipped += res.SpikesSkipped - m.skipped
 	c.PackedWords += res.PackedWords - m.packed
 	c.RepeatReads += res.RepeatReads - m.repeats
-	if env.cross != nil {
-		d := env.cross.Diff(m.cross)
-		c.MACReads += d.MACs
-		c.ActiveRowSum += d.ActiveRowSum
-		c.OutputCurrentUA += d.OutputCurrentUA
-	}
+	d := env.cross.Diff(m.cross)
+	c.MACReads += d.MACs
+	c.ActiveRowSum += d.ActiveRowSum
+	c.OutputCurrentUA += d.OutputCurrentUA
 	return dSpikes
 }
 
-// evaluate drives a super-tile through the regime's read path. On the
-// frozen-conductance path the result lands in dst (allocated when nil)
-// through the baked kernels, skipping the rows outside act — the spike
-// list of the previous layer (nil: scan the input). The wear path keeps
-// its legacy allocating reads and ignores act/dst/sc.
+// evaluate reads a super-tile on the dense walk: the result lands in dst
+// (allocated when nil) through the baked kernels, skipping the rows
+// outside act — the spike list of the previous layer (nil: scan the
+// input).
 //
 //nebula:hotpath
 func (env *execEnv) evaluate(st *SuperTile, in []float64, act []int, dst []float64, sc *EvalScratch) ([]float64, error) {
-	if env.wear {
-		return st.Evaluate(in)
-	}
 	if dst == nil || len(dst) != st.cols {
 		dst = make([]float64, st.cols)
 	}
 	if sc == nil {
 		sc = &env.sc
 	}
-	if err := st.EvaluateReadInto(dst, in, act, env.noise, env.cross, sc); err != nil {
+	if err := st.EvaluateReadInto(dst, in, act, env.noise, &env.cross, sc); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -373,11 +356,9 @@ func (env *execEnv) coreStepEvent(core *SNNCore, sr *stageRun, pos int, in []flo
 			sr.haveLast = true
 		}
 	}
-	if env.cross != nil {
-		env.cross.MACs += sr.lastCross.MACs
-		env.cross.ActiveRowSum += sr.lastCross.ActiveRowSum
-		env.cross.OutputCurrentUA += sr.lastCross.OutputCurrentUA
-	}
+	env.cross.MACs += sr.lastCross.MACs
+	env.cross.ActiveRowSum += sr.lastCross.ActiveRowSum
+	env.cross.OutputCurrentUA += sr.lastCross.OutputCurrentUA
 	sums := sr.sums
 	res.Cycles++ // cycle 2: drive crossbars, integrate at NU
 	if bias != nil {
@@ -449,7 +430,7 @@ func (env *execEnv) spillStep(sp *RUSpillCore, sr *stageRun, pos int, in, bias [
 			if len(sr.sums) != st.cols {
 				sr.sums = make([]float64, st.cols)
 			}
-			if err := st.EvaluateReadPacked(sr.sums, in[lo:hi], &sr.winPlane, env.noise, env.cross, &sr.sc); err != nil {
+			if err := st.EvaluateReadPacked(sr.sums, in[lo:hi], &sr.winPlane, env.noise, &env.cross, &sr.sc); err != nil {
 				return nil, err
 			}
 			part = sr.sums
@@ -512,8 +493,8 @@ func biasData(b *tensor.Tensor) []float64 {
 
 // stepStage advances one spiking stage by one timestep. pl is the
 // packed spike plane of x on the event-driven path (nil selects the
-// exact legacy dense walk); the returned plane covers the returned
-// tensor and is nil when the stage does not produce one. Event-driven
+// dense walk); the returned plane covers the returned tensor and is nil
+// when the stage does not produce one. Event-driven
 // skips are value-preserving by construction: a silent stage or window
 // can only be skipped when doing so leaves every membrane, accumulator
 // and output bit identical to the dense walk (DESIGN.md §15).
@@ -619,13 +600,9 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 				}
 			}
 		}
-		// Spikes travel to the consumer stage over the mesh; the shared
-		// mesh simulator is only driven on the sequential wear path.
+		// Spikes travel to the consumer stage over the mesh.
 		res.NoCPackets++
 		res.NoCHops += env.hops
-		if env.wear {
-			env.ch.Mesh.Send(noc.Node{X: 0, Y: 0}, noc.Node{X: 1, Y: 0}, maxInt(1, int(out.Sum())), 0)
-		}
 		if pl != nil {
 			sr.outPlane.Pack(out.Data())
 			return out, &sr.outPlane, nil
@@ -677,11 +654,8 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 		}
 		res.NoCPackets++
 		res.NoCHops += env.hops
-		if env.wear {
-			return tensor.FromSlice(spikes, len(spikes)), nil, nil
-		}
-		// Frozen path: spikes aliases sr.fire, whose backing array only
-		// changes when its length does — the cached view stays valid.
+		// spikes aliases sr.fire, whose backing array only changes when
+		// its length does — the cached view stays valid.
 		if sr.fireT == nil || sr.fireT.Size() != len(spikes) {
 			sr.fireT = tensor.FromSlice(spikes, len(spikes))
 		}
@@ -776,8 +750,8 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 }
 
 // annExec drives a batch of input vectors through an ANN core with the
-// stage bias injected pre-saturation, mirroring the legacy
-// Execute/annExecuteWithBias pair without mutating the shared core.
+// stage bias injected pre-saturation, mirroring ANNCore.Execute without
+// mutating the shared core.
 func (env *execEnv) annExec(core *ANNCore, inputs [][]float64, bias *tensor.Tensor, res *RunResult) ([][]float64, error) {
 	bd := biasData(bias)
 	out := make([][]float64, len(inputs))
@@ -794,7 +768,7 @@ func (env *execEnv) annExec(core *ANNCore, inputs [][]float64, bias *tensor.Tens
 			if bd != nil {
 				// Bias is added pre-saturation: rectify the raw sum at a
 				// lifted ceiling, inject the bias, then apply the device
-				// transfer — identical to the deprecated clip-lift dance.
+				// transfer.
 				if v < 0 {
 					v = 0
 				} else if v > 1e18 {
@@ -996,9 +970,6 @@ func (s *Session) execSNN(ctx context.Context, img *tensor.Tensor, env *execEnv,
 				return nil, err
 			}
 		}
-		if env.wear {
-			s.chip.tickRetention(s.snnStages, t)
-		}
 	}
 	// The read-out stage integrates increments across timesteps; its
 	// accumulator holds the final class potentials.
@@ -1025,9 +996,6 @@ func (s *Session) execHybrid(ctx context.Context, img *tensor.Tensor, env *execE
 			}
 		}
 		st.au.Accumulate(x)
-		if env.wear {
-			s.chip.tickRetention(s.snnStages, t)
-		}
 	}
 	// The recovered activations are in the source (unnormalized) scale of
 	// the boundary; renormalize to [0,1] with λ so the normalized weights
@@ -1068,31 +1036,20 @@ func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStream
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	env := &execEnv{ch: s.chip, wear: s.cfg.Wear, hops: s.engineHops}
+	env := &execEnv{hops: s.engineHops}
 	if s.rec != nil {
 		env.shard = obs.NewRunRecord(s.obsLayout, s.traceOn)
 	}
-	if env.wear {
-		// Wear runs mutate the programmed arrays, the mesh and the chip
-		// health report; serialize them.
-		s.wearMu.Lock()
-		defer s.wearMu.Unlock()
-	} else {
-		if s.chip.noise != nil {
-			env.noise = rs.noise
-		}
-		env.cross = &crossbar.Stats{}
-		// Event-driven stepping requires a nil read-noise stream: noise
-		// draws advance per live column, so skipping a read would shift
-		// every later draw. Without noise, skips are value-exact.
-		env.event = env.noise == nil && !s.cfg.noEvent
+	if s.chip.noise != nil {
+		env.noise = rs.noise
 	}
+	// Event-driven stepping requires a nil read-noise stream: noise draws
+	// advance per live column, so skipping a read would shift every later
+	// draw. Without noise, skips are value-exact.
+	env.event = env.noise == nil && !s.cfg.noEvent
 	var enc snn.Encoder
 	if s.cfg.Mode != ModeANN {
-		enc = s.cfg.sharedEnc
-		if enc == nil {
-			enc = s.cfg.encFactory(rs.enc)
-		}
+		enc = s.cfg.encFactory(rs.enc)
 	}
 	st := s.arena.Get().(*runState)
 	st.reset()
@@ -1110,9 +1067,7 @@ func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStream
 	if err != nil {
 		return nil, nil, err
 	}
-	if env.cross != nil {
-		res.Crossbar = *env.cross
-	}
+	res.Crossbar = env.cross
 	return res, env.shard, nil
 }
 

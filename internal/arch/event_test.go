@@ -33,8 +33,8 @@ func compileEventSession(t *testing.T, c *convert.Converted, opts ...Option) *Se
 	return sess
 }
 
-// assertEventMatchesDense runs the same batch through a dense-walk
-// session (WithEventDriven(false)) and event-driven sessions at
+// assertEventMatchesDense runs the same batch through the forced-dense
+// oracle and event-driven sessions at
 // parallelism 1, 4 and NumCPU, requiring bitwise-identical outputs,
 // predictions and spike counts. Cycle/packet/access counters are
 // allowed to differ: skipped stages charge nothing — that is the
@@ -44,7 +44,7 @@ func compileEventSession(t *testing.T, c *convert.Converted, opts ...Option) *Se
 func assertEventMatchesDense(t *testing.T, c *convert.Converted, imgs []*tensor.Tensor, opts ...Option) {
 	t.Helper()
 	ctx := context.Background()
-	dense := compileEventSession(t, c, append(append([]Option(nil), opts...), WithEventDriven(false))...)
+	dense := compileEventSession(t, c, append(append([]Option(nil), opts...), withDenseWalk())...)
 	want, err := dense.RunBatch(ctx, imgs)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestSessionEventDrivenSkipsAndRepeats(t *testing.T) {
 		t.Fatal("packed path never engaged")
 	}
 	dense, err := compileEventSession(t, c,
-		WithMode(ModeSNN), WithTimesteps(T), WithSeed(42), WithEventDriven(false),
+		WithMode(ModeSNN), WithTimesteps(T), WithSeed(42), withDenseWalk(),
 		WithEncoder(func(r *rng.Rand) snn.Encoder { return directEnc{} })).Run(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)

@@ -164,7 +164,6 @@ func TestLoadSessionRejectsBakedOptionChanges(t *testing.T) {
 		"mode":  {WithMode(ModeANN)},
 		"split": {WithMode(ModeSNN), WithTimesteps(20), WithHybridSplit(2)},
 		"shape": {WithMode(ModeSNN), WithTimesteps(20), WithInputShape(1, 16, 16)},
-		"wear":  {WithMode(ModeSNN), WithTimesteps(20), WithWear(true)},
 	} {
 		if _, err := LoadSession(bytes.NewReader(data), opts...); err == nil {
 			t.Fatalf("%s: load accepted an option that contradicts the image's programmed state", name)
@@ -386,10 +385,10 @@ func TestSessionGetters(t *testing.T) {
 		t.Fatalf("unseeded session Seed() = %d, want the fixed default", ann.Seed())
 	}
 
-	shared := compileSession(t, c, WithMode(ModeSNN), WithTimesteps(10),
-		WithSharedEncoder(snn.NewPoissonEncoder(1.0, rng.New(1))))
-	if shared.EncoderKind() != "shared" {
-		t.Fatalf("EncoderKind() = %q, want shared", shared.EncoderKind())
+	custom := compileSession(t, c, WithMode(ModeSNN), WithTimesteps(10),
+		WithEncoder(func(r *rng.Rand) snn.Encoder { return snn.NewPoissonEncoder(1.0, r) }))
+	if custom.EncoderKind() != "custom" {
+		t.Fatalf("EncoderKind() = %q, want custom", custom.EncoderKind())
 	}
 
 	cfg := sess.Config()
@@ -430,8 +429,6 @@ func TestCompileConfigRoundTrip(t *testing.T) {
 		"split":     func(c *CompileConfig) { c.HybridSplit = 2 },
 		"seed":      func(c *CompileConfig) { c.Seed = 100 },
 		"shape":     func(c *CompileConfig) { c.InputShape = []int{1, 8, 8} },
-		"wear":      func(c *CompileConfig) { c.Wear = true },
-		"kernel":    func(c *CompileConfig) { c.NoFrozenKernel = true },
 	} {
 		m := cfg
 		m.InputShape = append([]int(nil), cfg.InputShape...)

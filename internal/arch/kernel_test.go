@@ -2,6 +2,7 @@ package arch
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/convert"
@@ -11,38 +12,41 @@ import (
 	"repro/internal/tensor"
 )
 
-// assertKernelOffMatchesOn compiles the same model twice — frozen
-// kernels disabled and enabled (the default) — over identically seeded
-// chips and requires every output, prediction and counter to match bit
-// for bit. This is the end-to-end form of the crossbar-level
-// differential tests: the baked fast path must be invisible.
+// assertKernelOffMatchesOn runs the same batch through the kernel-off
+// oracle and through production sessions at parallelism 1, 4 and
+// NumCPU, all over identically seeded chips, and requires every output,
+// prediction and counter to match bit for bit. This is the end-to-end
+// form of the crossbar-level differential tests: the baked fast path
+// must be invisible.
 func assertKernelOffMatchesOn(t *testing.T, c *convert.Converted, imgs []*tensor.Tensor, opts ...Option) {
 	t.Helper()
 	ctx := context.Background()
-	dense := compileSession(t, c, append(append([]Option(nil), opts...), WithFrozenKernel(false))...)
-	fast := compileSession(t, c, opts...)
+	dense := compileSession(t, c, append(append([]Option(nil), opts...), withKernelOff())...)
 	want, err := dense.RunBatch(ctx, imgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fast.RunBatch(ctx, imgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		wd, gd := want[i].Output.Data(), got[i].Output.Data()
-		if len(wd) != len(gd) {
-			t.Fatalf("input %d: output size %d, want %d", i, len(gd), len(wd))
+	for _, par := range []int{1, 4, runtime.NumCPU()} {
+		fast := compileSession(t, c, append(append([]Option(nil), opts...), WithParallelism(par))...)
+		got, err := fast.RunBatch(ctx, imgs)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
 		}
-		for j := range wd {
-			if wd[j] != gd[j] {
-				t.Fatalf("input %d col %d: kernel %v != dense %v (frozen kernel not bitwise identical)",
-					i, j, gd[j], wd[j])
+		for i := range want {
+			wd, gd := want[i].Output.Data(), got[i].Output.Data()
+			if len(wd) != len(gd) {
+				t.Fatalf("parallelism %d input %d: output size %d, want %d", par, i, len(gd), len(wd))
 			}
-		}
-		if got[i].Prediction != want[i].Prediction || got[i].Spikes != want[i].Spikes ||
-			got[i].Cycles != want[i].Cycles || got[i].EDRAMAccesses != want[i].EDRAMAccesses {
-			t.Fatalf("input %d: stats diverged: %+v vs %+v", i, got[i], want[i])
+			for j := range wd {
+				if wd[j] != gd[j] {
+					t.Fatalf("parallelism %d input %d col %d: kernel %v != dense %v (frozen kernel not bitwise identical)",
+						par, i, j, gd[j], wd[j])
+				}
+			}
+			if got[i].Prediction != want[i].Prediction || got[i].Spikes != want[i].Spikes ||
+				got[i].Cycles != want[i].Cycles || got[i].EDRAMAccesses != want[i].EDRAMAccesses {
+				t.Fatalf("parallelism %d input %d: stats diverged: %+v vs %+v", par, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -85,12 +89,16 @@ func TestSessionFrozenKernelBitwiseConv(t *testing.T) {
 }
 
 // TestCompileBakesKernels asserts the compile-time bake actually leaves
-// every programmed array on the fast path, and that WithFrozenKernel
-// (false) leaves every array on the dense path.
+// every programmed array on the fast path, and that the kernel-off
+// oracle leaves every array on the dense path.
 func TestCompileBakesKernels(t *testing.T) {
 	c, _ := chipFixture(t)
 	for _, on := range []bool{true, false} {
-		sess := compileSession(t, c, WithMode(ModeSNN), WithTimesteps(20), WithFrozenKernel(on))
+		opts := []Option{WithMode(ModeSNN), WithTimesteps(20)}
+		if !on {
+			opts = append(opts, withKernelOff())
+		}
+		sess := compileSession(t, c, opts...)
 		fresh, stale := 0, 0
 		for _, hw := range sess.snnStages {
 			if hw.snnCore == nil {
@@ -107,27 +115,10 @@ func TestCompileBakesKernels(t *testing.T) {
 			}
 		}
 		if on && (fresh == 0 || stale != 0) {
-			t.Fatalf("WithFrozenKernel(true): %d fresh, %d stale arrays", fresh, stale)
+			t.Fatalf("production: %d fresh, %d stale arrays", fresh, stale)
 		}
 		if !on && fresh != 0 {
-			t.Fatalf("WithFrozenKernel(false): %d arrays still on the fast path", fresh)
-		}
-	}
-}
-
-// TestWearSessionSkipsBake pins that wear sessions never compile onto
-// the fast path: their reads mutate the arrays per evaluation.
-func TestWearSessionSkipsBake(t *testing.T) {
-	c, _ := chipFixture(t)
-	sess := compileSession(t, c, WithMode(ModeSNN), WithTimesteps(20), WithWear(true))
-	for _, hw := range sess.snnStages {
-		if hw.snnCore == nil {
-			continue
-		}
-		for _, slot := range hw.snnCore.ST.slotAC {
-			if hw.snnCore.ST.acs[slot].KernelFresh() {
-				t.Fatal("wear session compiled with a baked kernel")
-			}
+			t.Fatalf("kernel-off oracle: %d arrays still on the fast path", fresh)
 		}
 	}
 }

@@ -25,12 +25,11 @@ import (
 // LoadSession rehydrates a compiled session from a chip image.
 //
 // Options adjusting run behaviour — WithTimesteps, WithParallelism,
-// WithSeed, WithObserver, WithEncoder, WithSharedEncoder,
-// WithFrozenKernel — may override what the image recorded. Options that
-// would change the programmed state itself — WithMode, WithHybridSplit,
-// WithInputShape, WithWear — must match the image (a changed value is
-// rejected): that state was baked in at compile time and a load cannot
-// re-derive it.
+// WithSeed, WithObserver, WithEncoder — may override what the image
+// recorded. Options that would change the programmed state itself —
+// WithMode, WithHybridSplit, WithInputShape — must match the image (a
+// changed value is rejected): that state was baked in at compile time
+// and a load cannot re-derive it.
 //
 // Malformed, truncated or version-skewed images yield a typed
 // *image.FormatError / *image.ChecksumError; LoadSession never panics
@@ -54,9 +53,6 @@ func LoadSession(r io.Reader, opts ...Option) (*Session, error) {
 	}
 	if !equalShape(cfg.InputShape, stored.InputShape) {
 		return nil, fmt.Errorf("arch: load: image was compiled for input shape %v, not %v", stored.InputShape, cfg.InputShape)
-	}
-	if cfg.Wear != stored.Wear {
-		return nil, fmt.Errorf("arch: load: wear mode cannot be enabled on a loaded session; compile one instead")
 	}
 	return loadSession(p, cfg)
 }

@@ -83,8 +83,8 @@ func (s *Session) AgeRetention(steps int64) {
 	if steps <= 0 {
 		return
 	}
-	s.wearMu.Lock()
-	defer s.wearMu.Unlock()
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
 	s.forEachSuperTile(func(st *SuperTile) {
 		st.Tick(steps)
 		if age := st.MaxAge(); age > s.chip.health.MaxDriftAge {
@@ -100,8 +100,8 @@ func (s *Session) AgeRetention(steps int64) {
 // for a fixed seed. It returns the number of devices stuck. Callers must
 // ensure no run is in flight.
 func (s *Session) InjectStuckFaults(seed uint64, fraction float64, mode crossbar.FaultMode) int {
-	s.wearMu.Lock()
-	defer s.wearMu.Unlock()
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
 	r := rng.New(seed)
 	n := 0
 	s.forEachSuperTile(func(st *SuperTile) {
@@ -131,8 +131,8 @@ func (s *Session) InjectStuckFaults(seed uint64, fraction float64, mode crossbar
 // with any Run/RunBatch on the same session; pools hold the replica's
 // exclusive lock across it.
 func (s *Session) Scrub(ctx context.Context) (reliability.Report, error) {
-	s.wearMu.Lock()
-	defer s.wearMu.Unlock()
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
 
 	var rpt reliability.Report
 	var ctxErr error
@@ -166,7 +166,7 @@ func (s *Session) Scrub(ctx context.Context) (reliability.Report, error) {
 	// The arrays are back at their programmed targets (minus whatever is
 	// permanently stuck); freeze them again and renew the stamps so the
 	// session is Pristine for the next run.
-	if !s.cfg.NoFrozenKernel && !s.cfg.Wear {
+	if !s.cfg.noKernel {
 		s.bakeKernels()
 	}
 	s.stampGenerations()

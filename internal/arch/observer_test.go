@@ -254,7 +254,7 @@ func TestRunCancelMidTimestep(t *testing.T) {
 	rec := obs.NewRecorder()
 	enc := &cancellingEncoder{inner: snn.NewPoissonEncoder(1.0, rng.New(1)), cancel: cancel, after: 5}
 	sess := compileSession(t, c, WithMode(ModeSNN), WithTimesteps(20),
-		WithSharedEncoder(enc), WithObserver(rec))
+		WithEncoder(func(*rng.Rand) snn.Encoder { return enc }), WithObserver(rec))
 	img, _ := te.Sample(0)
 	if _, err := sess.Run(ctx, img); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run cancelled mid-timestep: got %v, want context.Canceled", err)
@@ -278,9 +278,10 @@ func TestRunBatchCancelMidBatch(t *testing.T) {
 	rec := obs.NewRecorder()
 	const T = 10
 	// Cancel inside input 1's fifth timestep: input 0 completes first.
+	// One worker runs the inputs in order, sharing the counting encoder.
 	enc := &cancellingEncoder{inner: snn.NewPoissonEncoder(1.0, rng.New(1)), cancel: cancel, after: T + 5}
-	sess := compileSession(t, c, WithMode(ModeSNN), WithTimesteps(T),
-		WithSharedEncoder(enc), WithObserver(rec))
+	sess := compileSession(t, c, WithMode(ModeSNN), WithTimesteps(T), WithParallelism(1),
+		WithEncoder(func(*rng.Rand) snn.Encoder { return enc }), WithObserver(rec))
 	_, err := sess.RunBatch(ctx, sessionImages(t, te, 4))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunBatch cancelled mid-batch: got %v, want context.Canceled", err)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/reliability"
 	"repro/internal/rng"
-	"repro/internal/snn"
 	"repro/internal/tensor"
 )
 
@@ -62,14 +61,9 @@ func TestChipRunSNNWithProtectionMatchesClean(t *testing.T) {
 	run := func(rel *reliability.Config) []int {
 		chip := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(91))
 		chip.Rel = rel
-		r := rng.New(92)
 		var preds []int
-		for i := 0; i < 8; i++ {
-			img, _ := te.Sample(i)
-			res, err := chip.RunSNN(c, img, 40, snn.NewPoissonEncoder(1.0, r.Split()))
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, res := range runOnChip(t, chip, c, sessionImages(t, te, 8),
+			WithMode(ModeSNN), WithTimesteps(40), WithSeed(92)) {
 			preds = append(preds, res.Prediction)
 		}
 		return preds
@@ -89,16 +83,16 @@ func TestChipRunSNNWithProtectionMatchesClean(t *testing.T) {
 
 func TestChipDegradedErrorSurfaces(t *testing.T) {
 	// Write-verify cannot fix an extreme all-permanent fault population:
-	// the run must refuse with a typed DegradedError, not compute garbage.
-	c, te := chipFixture(t)
+	// the compile must refuse with a typed DegradedError, not compute
+	// garbage.
+	c, _ := chipFixture(t)
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(93))
 	chip.Rel = &reliability.Config{
 		Faults:     reliability.FaultProfile{DeviceRate: 0.3, PermanentFrac: 1, Mode: crossbar.StuckAP},
 		Protection: reliability.ProtectWriteVerify,
 		Policy:     reliability.DefaultPolicy(),
 	}
-	img, _ := te.Sample(0)
-	_, err := chip.RunSNN(c, img, 5, snn.NewPoissonEncoder(1.0, rng.New(1)))
+	_, err := chip.Compile(c, WithMode(ModeSNN), WithTimesteps(5))
 	var de *reliability.DegradedError
 	if !errors.As(err, &de) {
 		t.Fatalf("want DegradedError, got %v", err)
@@ -115,17 +109,13 @@ func TestChipHealthResetAndAccumulation(t *testing.T) {
 	c, te := chipFixture(t)
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(94))
 	chip.Rel = reliability.StudyConfig(0.02, reliability.ProtectWriteVerify)
-	img, _ := te.Sample(0)
-	if _, err := chip.RunSNN(c, img, 3, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
-		t.Fatal(err)
-	}
+	imgs := sessionImages(t, te, 1)
+	runOnChip(t, chip, c, imgs, WithMode(ModeSNN), WithTimesteps(3))
 	h1 := chip.Health()
 	if h1.ArraysScanned == 0 || h1.DevicesFaulted == 0 {
 		t.Fatalf("health empty after faulted run: %+v", h1)
 	}
-	if _, err := chip.RunSNN(c, img, 3, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
-		t.Fatal(err)
-	}
+	runOnChip(t, chip, c, imgs, WithMode(ModeSNN), WithTimesteps(3))
 	if h2 := chip.Health(); h2.ArraysScanned <= h1.ArraysScanned {
 		t.Fatalf("health did not accumulate: %+v vs %+v", h2, h1)
 	}
@@ -173,36 +163,40 @@ func TestHealthScanDeterministicAndScrub(t *testing.T) {
 }
 
 func TestRetentionScrubResetsDriftAge(t *testing.T) {
-	c, te := chipFixture(t)
+	// Ten steps of retention drift, aged in chunks of four: scrubbing
+	// after every chunk bounds the drift age by the chunk, while the
+	// unscrubbed session ages through the full window.
+	c, _ := chipFixture(t)
 	rel := &reliability.Config{
 		Faults:     reliability.FaultProfile{DriftTauSteps: 200},
 		Protection: reliability.ProtectWriteVerify,
 		Policy:     reliability.DefaultPolicy(),
 	}
-	rel.Policy.ScrubEverySteps = 4
-	chip := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(95))
-	chip.Rel = rel
-	img, _ := te.Sample(0)
-	if _, err := chip.RunSNN(c, img, 10, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
-		t.Fatal(err)
+	age := func(scrub bool) reliability.Report {
+		chip := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(95))
+		chip.Rel = rel
+		sess, err := chip.Compile(c, WithMode(ModeSNN), WithTimesteps(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, steps := range []int64{4, 4, 2} {
+			sess.AgeRetention(steps)
+			if scrub {
+				if _, err := sess.Scrub(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return chip.Health()
 	}
-	h := chip.Health()
+	h := age(true)
 	if h.Refreshes == 0 {
-		t.Fatalf("no scrub refreshes over 10 steps at period 4: %+v", h)
+		t.Fatalf("no scrub refreshes: %+v", h)
 	}
-	// Scrubbing every 4 steps bounds the drift age below the period.
-	if h.MaxDriftAge >= 4 {
+	if h.MaxDriftAge > 4 {
 		t.Fatalf("scrub did not bound drift age: %d", h.MaxDriftAge)
 	}
-	// Without scrubbing the age grows to the full window.
-	chip2 := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(95))
-	rel2 := *rel
-	rel2.Policy.ScrubEverySteps = 0
-	chip2.Rel = &rel2
-	if _, err := chip2.RunSNN(c, img, 10, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
-		t.Fatal(err)
-	}
-	if h2 := chip2.Health(); h2.MaxDriftAge != 10 {
+	if h2 := age(false); h2.MaxDriftAge != 10 {
 		t.Fatalf("unscrubbed drift age %d, want 10", h2.MaxDriftAge)
 	}
 }

@@ -21,9 +21,8 @@ import (
 
 // SaveImage writes the session's chip image to w: everything needed to
 // rehydrate an equivalent session with LoadSession, skipping
-// programming, fault injection and the BIST/protect pipeline. Wear-mode
-// sessions and sessions with caller-supplied encoders are not imageable
-// and return an error.
+// programming, fault injection and the BIST/protect pipeline. Sessions
+// with caller-supplied encoders are not imageable and return an error.
 func (s *Session) SaveImage(w io.Writer) error {
 	p, err := s.imagePayload()
 	if err != nil {
@@ -34,10 +33,7 @@ func (s *Session) SaveImage(w io.Writer) error {
 
 // imagePayload assembles the session's image payload.
 func (s *Session) imagePayload() (*image.Payload, error) {
-	if s.cfg.Wear {
-		return nil, fmt.Errorf("arch: wear session is not imageable: its runs mutate the programmed arrays")
-	}
-	if s.cfg.sharedEnc != nil || s.cfg.encCustom {
+	if s.cfg.encCustom {
 		return nil, fmt.Errorf("arch: session with a caller-supplied encoder is not imageable: the encoder has no serializable form")
 	}
 	spec, err := image.EncodeModel(s.model)
@@ -85,30 +81,26 @@ func (ch *Chip) imageSpec() image.ChipSpec {
 // image mirror.
 func imageConfig(c CompileConfig) image.SessionConfig {
 	return image.SessionConfig{
-		Mode:           int(c.Mode),
-		Timesteps:      c.Timesteps,
-		HybridSplit:    c.HybridSplit,
-		Parallelism:    c.Parallelism,
-		Seed:           c.Seed,
-		SeedSet:        c.SeedSet,
-		InputShape:     append([]int(nil), c.InputShape...),
-		Wear:           c.Wear,
-		NoFrozenKernel: c.NoFrozenKernel,
+		Mode:        int(c.Mode),
+		Timesteps:   c.Timesteps,
+		HybridSplit: c.HybridSplit,
+		Parallelism: c.Parallelism,
+		Seed:        c.Seed,
+		SeedSet:     c.SeedSet,
+		InputShape:  append([]int(nil), c.InputShape...),
 	}
 }
 
 // configFromImage is the inverse of imageConfig.
 func configFromImage(c image.SessionConfig) CompileConfig {
 	return CompileConfig{
-		Mode:           Mode(c.Mode),
-		Timesteps:      c.Timesteps,
-		HybridSplit:    c.HybridSplit,
-		Parallelism:    c.Parallelism,
-		Seed:           c.Seed,
-		SeedSet:        c.SeedSet,
-		InputShape:     append([]int(nil), c.InputShape...),
-		Wear:           c.Wear,
-		NoFrozenKernel: c.NoFrozenKernel,
+		Mode:        Mode(c.Mode),
+		Timesteps:   c.Timesteps,
+		HybridSplit: c.HybridSplit,
+		Parallelism: c.Parallelism,
+		Seed:        c.Seed,
+		SeedSet:     c.SeedSet,
+		InputShape:  append([]int(nil), c.InputShape...),
 	}
 }
 

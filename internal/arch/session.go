@@ -86,8 +86,8 @@ type EncoderFactory func(r *rng.Rand) snn.Encoder
 // CompileConfig is the serializable half of a Compile call's
 // configuration: every option that shapes the compiled chip state or the
 // run semantics and can round-trip through a chip image. The
-// process-local options — encoder factories, shared encoders, observers,
-// image caches — stay functional-only and never enter an image.
+// process-local options — encoder factories, observers, image caches —
+// stay functional-only and never enter an image.
 //
 // Construct one with zero values plus field assignment, or recover one
 // from a compiled session with Session.Config; WithConfig turns it back
@@ -112,11 +112,6 @@ type CompileConfig struct {
 	// InputShape is the declared input tensor shape (c, h, w), when
 	// given. Spiking convolution stages require it.
 	InputShape []int
-	// Wear enables per-evaluation wear modelling (serializes runs).
-	Wear bool
-	// NoFrozenKernel disables baking the frozen-conductance read
-	// kernels at compile time.
-	NoFrozenKernel bool
 }
 
 // Options reconstructs a functional-option list that reproduces this
@@ -127,8 +122,6 @@ func (c CompileConfig) Options() []Option {
 		WithTimesteps(c.Timesteps),
 		WithHybridSplit(c.HybridSplit),
 		WithParallelism(c.Parallelism),
-		WithWear(c.Wear),
-		WithFrozenKernel(!c.NoFrozenKernel),
 	}
 	if len(c.InputShape) > 0 {
 		opts = append(opts, WithInputShape(c.InputShape...))
@@ -167,8 +160,6 @@ func (c CompileConfig) Hash() string {
 	for _, d := range c.InputShape {
 		put(uint64(int64(d)))
 	}
-	putBool(c.Wear)
-	putBool(c.NoFrozenKernel)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -182,17 +173,18 @@ type sessionConfig struct {
 	// not imageable (a closure cannot be serialized), so the compile
 	// cache bypasses them.
 	encCustom bool
-	sharedEnc snn.Encoder
 	rec       *obs.Recorder
 	// cacheDir routes Compile through a content-addressed image cache
 	// when non-empty; cacheMetrics, when non-nil, observes that cache.
 	cacheDir     string
 	cacheMetrics image.Metrics
-	// noEvent disables the bit-packed event-driven stepping path, forcing
-	// the dense walk. Execution-regime knob only: results are bitwise
-	// identical either way, so it is not part of CompileConfig (and not
-	// hashed into image cache keys).
-	noEvent bool
+	// noKernel and noEvent select the reference walks the tests compare
+	// the production walk against: noKernel leaves the read kernels
+	// unbaked, so every MACRead takes the dense reference path; noEvent
+	// forces the dense walk where the event-driven one would run. Both
+	// are bitwise identical to production by contract and are set only
+	// by the test oracle, never by an exported option.
+	noKernel, noEvent bool
 }
 
 // Option configures Compile.
@@ -235,11 +227,6 @@ func WithEncoder(f EncoderFactory) Option {
 	return func(c *sessionConfig) { c.encFactory = f; c.encCustom = true }
 }
 
-// WithSharedEncoder installs one caller-owned encoder used by every run.
-// A shared encoder serializes the session (parallelism 1): its internal
-// RNG state would otherwise be raced and reorder draws.
-func WithSharedEncoder(e snn.Encoder) Option { return func(c *sessionConfig) { c.sharedEnc = e } }
-
 // WithInputShape declares the input tensor shape (c, h, w). Spiking
 // convolution stages need it at compile time to size their
 // position-replica neuron banks; dense-only models may omit it.
@@ -278,37 +265,14 @@ func WithImageCacheMetrics(m image.Metrics) Option {
 // rejects mismatched schemas).
 func WithObserver(rec *obs.Recorder) Option { return func(c *sessionConfig) { c.rec = rec } }
 
-// WithWear(true) makes every run model per-evaluation wear exactly like
-// the deprecated entry points: crossbar reads apply read disturb and
-// shared activity counters, the retention clock ticks (and the scrub
-// policy runs) per timestep, and spikes traverse the shared mesh. Wear
-// mutates the programmed arrays, so wear sessions always execute
-// sequentially regardless of WithParallelism.
-func WithWear(on bool) Option { return func(c *sessionConfig) { c.Wear = on } }
-
-// WithFrozenKernel(false) disables baking the frozen-conductance read
-// kernels at compile time, forcing every MACRead through the reference
-// dense path. The kernels are bitwise identical to the reference, so
-// this only trades speed for nothing — it exists for differential
-// testing and benchmarking of the fast path. Default: enabled.
-func WithFrozenKernel(on bool) Option { return func(c *sessionConfig) { c.NoFrozenKernel = !on } }
-
-// WithEventDriven(false) disables the bit-packed event-driven stepping
-// path (DESIGN.md §15), forcing every timestep through the dense walk.
-// The event path self-gates to runs without a read-noise stream and
-// produces bitwise-identical outputs, so this knob only trades speed
-// for nothing — it exists for differential testing and benchmarking,
-// mirroring WithFrozenKernel. Default: enabled.
-func WithEventDriven(on bool) Option { return func(c *sessionConfig) { c.noEvent = !on } }
-
 // defaultSessionSeed seeds sessions that set no WithSeed; a fixed
 // constant keeps the default fully reproducible run to run.
 const defaultSessionSeed uint64 = 0x9e3779b97f4a7c15
 
 // Session is a compiled inference pipeline: programmed (and protected)
 // crossbar hardware plus the run configuration. The compiled state is
-// read-only during runs; Run and RunBatch are safe for concurrent use
-// unless the session was compiled WithWear or WithSharedEncoder.
+// read-only during runs; Run, RunBatch and RunReserved are safe for
+// concurrent use.
 type Session struct {
 	chip  *Chip
 	cfg   sessionConfig
@@ -338,9 +302,10 @@ type Session struct {
 	// from which each run draws its two private streams in input order.
 	mu      sync.Mutex
 	streams *rng.Rand
-	// wearMu serializes wear-mode runs, which mutate the programmed
-	// arrays and the chip health report.
-	wearMu sync.Mutex
+	// maintMu serializes the maintenance passes (AgeRetention,
+	// InjectStuckFaults, Scrub), which mutate the programmed arrays and
+	// the chip health report.
+	maintMu sync.Mutex
 	// genStamp is the per-array generation baseline recorded when the
 	// session was last known good (Compile, Scrub); see Pristine.
 	genStamp []uint64
@@ -413,8 +378,8 @@ func (ch *Chip) compile(model *convert.Converted, cfg sessionConfig) (*Session, 
 		splitStage, s.lambda, err = hybridCut(model, cfg.HybridSplit)
 		if err == nil {
 			// Build the full spiking pipeline and truncate at the cut,
-			// mirroring the legacy entry point so core and stream
-			// allocation orders are identical.
+			// so the front's cores draw their streams in the same order
+			// as an SNN compile's.
 			s.snnStages, err = ch.buildSNN(model)
 		}
 		if err == nil {
@@ -452,10 +417,8 @@ func (ch *Chip) compile(model *convert.Converted, cfg sessionConfig) (*Session, 
 // observer attached and the known-good generation baseline stamped. The
 // stage hardware must hold its final programmed (or imported) state.
 func (s *Session) finish(healthBefore reliability.Report) error {
-	// Freeze the programmed conductance planes into read kernels. Wear
-	// sessions skip the bake: their reads mutate the arrays, so kernels
-	// would go stale after the first evaluation anyway.
-	if !s.cfg.NoFrozenKernel && !s.cfg.Wear {
+	// Freeze the programmed conductance planes into read kernels.
+	if !s.cfg.noKernel {
 		s.bakeKernels()
 	}
 
@@ -464,8 +427,8 @@ func (s *Session) finish(healthBefore reliability.Report) error {
 	}
 	s.streams = rng.New(s.cfg.Seed)
 	s.arena.New = func() interface{} { return s.newRunState() }
-	// Every inter-stage packet crosses the fixed engine placement — the
-	// same adjacent pair the wear path drives through Mesh.Send.
+	// Every inter-stage packet crosses the fixed engine placement: one
+	// adjacent pair of mesh nodes.
 	s.engineHops = int64(s.chip.Mesh.Hops(noc.Node{X: 0, Y: 0}, noc.Node{X: 1, Y: 0}))
 	if s.cfg.rec != nil {
 		if err := s.attachObserver(s.cfg.rec, healthBefore); err != nil {
@@ -530,13 +493,9 @@ func (s *Session) HybridSplit() int {
 func (s *Session) ParallelismLimit() int { return s.cfg.Parallelism }
 
 // EncoderKind names the session's input-encoder arrangement: "poisson"
-// for the default per-run factory, "custom" for a WithEncoder factory,
-// "shared" for a WithSharedEncoder instance.
+// for the default per-run factory, "custom" for a WithEncoder factory.
 func (s *Session) EncoderKind() string {
-	switch {
-	case s.cfg.sharedEnc != nil:
-		return "shared"
-	case s.cfg.encCustom:
+	if s.cfg.encCustom {
 		return "custom"
 	}
 	return "poisson"
@@ -554,9 +513,6 @@ func (s *Session) Config() CompileConfig {
 
 // Parallelism returns the worker bound RunBatch will use for n inputs.
 func (s *Session) Parallelism(n int) int {
-	if s.cfg.Wear || s.cfg.sharedEnc != nil {
-		return 1
-	}
 	p := s.cfg.Parallelism
 	if p <= 0 {
 		p = runtime.NumCPU()
@@ -572,8 +528,7 @@ func (s *Session) Parallelism(n int) int {
 
 // programPositions allocates and protects the position-replica banks of
 // spiking conv stages by propagating the input shape through the
-// pipeline; the legacy entry points did this lazily on the first
-// timestep. Dense-only pipelines need no shape.
+// pipeline. Dense-only pipelines need no shape.
 func (ch *Chip) programPositions(stages []*stageHW, shape []int) error {
 	h, w := 0, 0
 	haveShape := len(shape) == 3

@@ -13,7 +13,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/reliability"
 	"repro/internal/rng"
-	"repro/internal/snn"
 	"repro/internal/tensor"
 )
 
@@ -79,7 +78,7 @@ func assertBatchMatchesSequential(t *testing.T, c *convert.Converted, imgs []*te
 	}
 }
 
-func sessionImages(t *testing.T, te *dataset.Dataset, n int) []*tensor.Tensor {
+func sessionImages(t testing.TB, te *dataset.Dataset, n int) []*tensor.Tensor {
 	t.Helper()
 	imgs := make([]*tensor.Tensor, n)
 	for i := range imgs {
@@ -204,18 +203,5 @@ func TestSessionCompileConvNeedsShape(t *testing.T) {
 	var ce *CompileError
 	if !errors.As(err, &ce) {
 		t.Fatalf("conv model without WithInputShape: want *CompileError, got %v", err)
-	}
-}
-
-func TestSessionSharedEncoderSerializes(t *testing.T) {
-	c, _ := chipFixture(t)
-	sess := compileSession(t, c, WithMode(ModeSNN), WithTimesteps(5),
-		WithSharedEncoder(snn.NewPoissonEncoder(1.0, rng.New(1))), WithParallelism(8))
-	if p := sess.Parallelism(16); p != 1 {
-		t.Fatalf("shared-encoder session parallelism = %d, want 1", p)
-	}
-	wear := compileSession(t, c, WithMode(ModeANN), WithWear(true), WithParallelism(8))
-	if p := wear.Parallelism(16); p != 1 {
-		t.Fatalf("wear session parallelism = %d, want 1", p)
 	}
 }

@@ -141,10 +141,7 @@ func TestChipRunsSpilledDenseStage(t *testing.T) {
 
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, nil)
 	img, _ := d.Sample(0)
-	res, err := chip.RunSNN(conv, img, 20, snn.NewPoissonEncoder(1.0, rng.New(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnChip(t, chip, conv, []*tensor.Tensor{img}, WithMode(ModeSNN), WithTimesteps(20), WithSeed(2))[0]
 	if res.ADCConversions == 0 {
 		t.Fatal("spilled stage did not digitize partial sums")
 	}

@@ -150,11 +150,13 @@ func (s *Simulator) NewChip(noise *rng.Rand) *arch.Chip {
 func (p *Pipeline) RunOnChip(imageIdx, T int) (*arch.RunResult, int, error) {
 	img, label := p.Test.Sample(imageIdx)
 	chip := p.Sim.NewChip(nil)
-	enc := snn.NewPoissonEncoder(p.Cfg.Convert.Gain, rng.New(p.Sim.Seed+uint64(imageIdx)))
+	gain, seed := p.Cfg.Convert.Gain, p.Sim.Seed+uint64(imageIdx)
 	sess, err := chip.Compile(p.Converted,
 		arch.WithMode(arch.ModeSNN),
 		arch.WithTimesteps(T),
-		arch.WithSharedEncoder(enc),
+		arch.WithEncoder(func(*rng.Rand) snn.Encoder {
+			return snn.NewPoissonEncoder(gain, rng.New(seed))
+		}),
 		arch.WithInputShape(img.Shape()...))
 	if err != nil {
 		return nil, 0, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/reliability"
 	"repro/internal/rng"
 	"repro/internal/snn"
+	"repro/internal/tensor"
 )
 
 // FaultPoint is one fault-rate operating point of one protection curve.
@@ -61,22 +63,23 @@ func faultSeed(rate float64) uint64 {
 
 // FaultResilience trains the scaled MLP once, lowers it onto the chip
 // and sweeps the standard fault rates under all three protection levels.
-func FaultResilience(samples, timesteps int) (FaultResilienceResult, error) {
-	return FaultResilienceSweep(DefaultFaultRates(), samples, timesteps, 400, 120)
+func FaultResilience(ctx context.Context, samples, timesteps int) (FaultResilienceResult, error) {
+	return FaultResilienceSweep(ctx, DefaultFaultRates(), samples, timesteps, 400, 120)
 }
 
 // FaultResilienceSmoke is the tier-1 smoke configuration: two rates,
 // few samples, short windows — enough to exercise injection, BIST,
 // write-verify, remapping and the degradation path in seconds.
-func FaultResilienceSmoke() (FaultResilienceResult, error) {
-	return FaultResilienceSweep([]float64{0, 0.05}, 4, 10, 150, 60)
+func FaultResilienceSmoke(ctx context.Context) (FaultResilienceResult, error) {
+	return FaultResilienceSweep(ctx, []float64{0, 0.05}, 4, 10, 150, 60)
 }
 
 // FaultResilienceSweep runs the three-curve study over explicit rates.
 // One model is trained and converted once; every (rate, protection)
 // point re-derives the chip from the rate's deterministic seed, so the
 // injected defect population at a given rate is identical across curves.
-func FaultResilienceSweep(rates []float64, samples, timesteps, nTrain, nTest int) (FaultResilienceResult, error) {
+// Cancelling ctx aborts the sweep between the timesteps of a sample.
+func FaultResilienceSweep(ctx context.Context, rates []float64, samples, timesteps, nTrain, nTest int) (FaultResilienceResult, error) {
 	tm := trainScaled(benchmarkSpec{"mlp3/mnist-like", models.NewMLP3, dataset.MNISTLike, 8, 0}, nTrain, nTest)
 	conv, err := convert.Convert(tm.net, tm.trainDS, convert.DefaultConfig())
 	if err != nil {
@@ -94,7 +97,7 @@ func FaultResilienceSweep(rates []float64, samples, timesteps, nTrain, nTest int
 			r := rng.New(Seed + 7)
 			for i := 0; i < samples; i++ {
 				img, label := tm.testDS.Sample(i)
-				run, err := chip.RunSNN(conv, img, timesteps, snn.NewPoissonEncoder(1.0, r.Split()))
+				run, err := runFaultSample(ctx, chip, conv, img, timesteps, snn.NewPoissonEncoder(1.0, r.Split()))
 				if err != nil {
 					var de *reliability.DegradedError
 					if errors.As(err, &de) {
@@ -117,6 +120,24 @@ func FaultResilienceSweep(rates []float64, samples, timesteps, nTrain, nTest int
 		res.Curves = append(res.Curves, curve)
 	}
 	return res, nil
+}
+
+// runFaultSample compiles conv onto chip for one sample and runs it with
+// the sample's own encoder. One compile per sample gives every sample a
+// fresh draw of the chip's fault profile; the refusal of a degraded
+// compile surfaces as its *reliability.DegradedError.
+func runFaultSample(ctx context.Context, chip *arch.Chip, conv *convert.Converted, img *tensor.Tensor, timesteps int, enc snn.Encoder) (*arch.RunResult, error) {
+	sess, err := chip.Compile(conv,
+		arch.WithMode(arch.ModeSNN),
+		arch.WithTimesteps(timesteps),
+		arch.WithInputShape(img.Shape()...),
+		// The session serves exactly one run, so the factory is called
+		// once and the sample's encoder is never shared.
+		arch.WithEncoder(func(*rng.Rand) snn.Encoder { return enc }))
+	if err != nil {
+		return nil, err
+	}
+	return sess.Run(ctx, img)
 }
 
 // Curve returns the sweep for one protection level, or nil.

@@ -54,9 +54,8 @@ type Factory func(ctx context.Context) (*arch.Session, error)
 type Config struct {
 	// Replicas is the pool size K (≥ 1).
 	Replicas int
-	// Factory compiles a replica. Sessions must be safe for concurrent
-	// runs (not WithWear / WithSharedEncoder); the pool never calls
-	// their own Run entry points, so their WithSeed is irrelevant.
+	// Factory compiles a replica. The pool never calls the sessions'
+	// own Run entry points, so their WithSeed is irrelevant.
 	Factory Factory
 	// Seed seeds the pool's RNG parent, from which each request
 	// reserves its private stream pair in request order. Seeding it

@@ -55,7 +55,7 @@ const (
 	// FormatVersion is the current image format version. Readers reject
 	// any other version: images are cheap to regenerate, so there is no
 	// cross-version migration path, only a clean typed rejection.
-	FormatVersion uint32 = 1
+	FormatVersion uint32 = 2
 	// headerLen is magic + version + payload length.
 	headerLen = len(Magic) + 4 + 8
 	// checksumLen is the SHA-256 trailer.
@@ -164,11 +164,6 @@ type SessionConfig struct {
 	SeedSet bool
 	// InputShape is the declared input tensor shape, when given.
 	InputShape []int
-	// Wear records a wear-mode session (not imageable; stored for the
-	// error message on load).
-	Wear bool
-	// NoFrozenKernel disables baking the frozen read kernels.
-	NoFrozenKernel bool
 }
 
 // TileState is one programmed super-tile: logical geometry, slot→array

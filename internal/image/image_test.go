@@ -2,6 +2,7 @@ package image
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -102,6 +103,27 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 	if err := Verify(flipped); !errors.As(err, &ce) {
 		t.Fatalf("Verify flipped payload: got %v, want *ChecksumError", err)
+	}
+}
+
+// TestDecodeRejectsVersion1 pins the format-2 cutover: images written
+// by a version-1 build are refused with a typed *FormatError, never
+// migrated.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	if FormatVersion != 2 {
+		t.Fatalf("FormatVersion = %d; this test pins the version-1 rejection of format 2", FormatVersion)
+	}
+	v1 := encodeTestImage(t)
+	binary.LittleEndian.PutUint32(v1[8:12], 1)
+	var fe *FormatError
+	if _, err := Decode(bytes.NewReader(v1)); !errors.As(err, &fe) {
+		t.Fatalf("Decode of a version-1 image: got %v, want *FormatError", err)
+	}
+	if err := Verify(v1); !errors.As(err, &fe) {
+		t.Fatalf("Verify of a version-1 image: got %v, want *FormatError", err)
+	}
+	if _, err := DecodeTrusted(v1); !errors.As(err, &fe) {
+		t.Fatalf("DecodeTrusted of a version-1 image: got %v, want *FormatError", err)
 	}
 }
 

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -25,6 +28,11 @@ import (
 // ErrQueueFull 429, ErrDraining 503, *DeadlineError 504 — so clients
 // can tell backpressure (retry elsewhere, with backoff) from deadline
 // misses (request is gone) without parsing strings.
+
+// maxRequestBytes caps one request body of /v1/infer and one request
+// line of /v1/infer/stream, so no client can make the daemon buffer an
+// unbounded input.
+const maxRequestBytes = 16 << 20
 
 // HandlerConfig wires the optional exporters of the HTTP surface.
 type HandlerConfig struct {
@@ -203,7 +211,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, hc HandlerC
 		return
 	}
 	var req InferRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error(), Kind: "bad_request"})
 		return
 	}
@@ -242,7 +250,9 @@ func (s *Server) inferBatchInfo(ctx context.Context, input *tensor.Tensor) (res 
 // stream over NDJSON. Every request line is admitted in arrival order
 // (so the stream's outputs are deterministic for a fixed admission
 // sequence) and answered on its own output line, in order; per-line
-// failures are reported inline and do not break the stream.
+// failures are reported inline and do not break the stream. A line that
+// is not valid JSON, or longer than maxRequestBytes, is answered with an
+// inline bad_request after the lines before it, and ends the stream.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, hc HandlerConfig) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -252,7 +262,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, hc Handler
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	dec := json.NewDecoder(r.Body)
+	lines := bufio.NewScanner(r.Body)
+	lines.Buffer(make([]byte, 0, 64<<10), maxRequestBytes)
 
 	// streamItem pairs a pending request with its per-request cancel;
 	// items rejected before admission carry the error and its kind.
@@ -289,12 +300,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, hc Handler
 	// The submission window lets later lines coalesce with earlier ones
 	// while responses still stream back in order.
 	const windowSize = 32
-	for {
+	for lines.Scan() {
+		line := bytes.TrimSpace(lines.Bytes())
+		if len(line) == 0 {
+			continue
+		}
 		var req InferRequest
-		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, io.EOF) {
-				_ = enc.Encode(ErrorResponse{Error: "bad JSON: " + err.Error(), Kind: "bad_request"})
-			}
+		if err := json.Unmarshal(line, &req); err != nil {
+			window = append(window, streamItem{err: fmt.Errorf("bad JSON: %w", err), kind: "bad_request"})
 			break
 		}
 		input, err := decodeInput(req)
@@ -315,6 +328,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, hc Handler
 			emit(window[0])
 			window = window[1:]
 		}
+	}
+	switch err := lines.Err(); {
+	case errors.Is(err, bufio.ErrTooLong):
+		window = append(window, streamItem{err: fmt.Errorf("request line exceeds %d bytes", maxRequestBytes), kind: "bad_request"})
+	case err != nil:
+		window = append(window, streamItem{err: fmt.Errorf("reading stream: %w", err), kind: "bad_request"})
 	}
 	for _, it := range window {
 		emit(it)

@@ -116,6 +116,50 @@ func TestHTTPStream(t *testing.T) {
 	}
 }
 
+// TestHTTPStreamOversizedLine: a request line longer than the body cap
+// is answered with an inline bad_request after the lines before it and
+// ends the stream; nothing after it is admitted.
+func TestHTTPStreamOversizedLine(t *testing.T) {
+	_, h := testHandler(t, Config{BatchSize: 4, MaxDelay: 10 * time.Millisecond, QueueDepth: 16}, HandlerConfig{})
+	imgs := serveImages(t, 2)
+	want := goldenRuns(t, imgs, 10)
+	var in bytes.Buffer
+	enc := json.NewEncoder(&in)
+	if err := enc.Encode(InferRequest{Input: imgs[0].Data()}); err != nil {
+		t.Fatal(err)
+	}
+	in.WriteString(`{"input":[`)
+	in.Write(bytes.Repeat([]byte("0,"), maxRequestBytes/2))
+	in.WriteString("0]}\n")
+	if err := enc.Encode(InferRequest{Input: imgs[1].Data()}); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/infer/stream", &in)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d", w.Code)
+	}
+	lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("%d response lines, want 2 (the stream must end at the oversized line): %q", len(lines), lines)
+	}
+	var resp InferResponse
+	if err := json.Unmarshal([]byte(lines[0]), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Prediction != want[0].Prediction {
+		t.Fatalf("line 0: prediction %d, want %d", resp.Prediction, want[0].Prediction)
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal([]byte(lines[1]), &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Kind != "bad_request" {
+		t.Fatalf("oversized line: kind %q, want bad_request (%s)", e.Kind, e.Error)
+	}
+}
+
 func TestHTTPHealthzAndDrain(t *testing.T) {
 	s, h := testHandler(t, Config{}, HandlerConfig{})
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
