@@ -85,11 +85,13 @@ type stageRun struct {
 	sc EvalScratch
 	// total accumulates a spill stage's digitized block partials.
 	total []float64
-	// colBuf / cols are a conv stage's receptive-field window and its
-	// reused im2col unfold; convOut is its reused output plane.
+	// colBuf is a conv stage's receptive-field window, gathered straight
+	// from the input map; convOut is its reused output plane.
 	colBuf  []float64
-	cols    *tensor.Tensor
 	convOut *tensor.Tensor
+	// poolAvg / poolOut are a pool stage's reused average-pooled current
+	// and IF spike output.
+	poolAvg, poolOut *tensor.Tensor
 	// outInc is the read-out stage's per-step increment row; outIncFlat
 	// is the same buffer viewed as a vector.
 	outInc, outIncFlat *tensor.Tensor
@@ -491,6 +493,127 @@ func biasData(b *tensor.Tensor) []float64 {
 	return b.Data()
 }
 
+// convGeom is the spatial geometry of one conv stage applied to an
+// h×w input map.
+type convGeom struct {
+	h, w, kh, kw, stride, pad int
+}
+
+// outSize returns the output map's height and width.
+func (g convGeom) outSize() (oh, ow int) {
+	return tensor.ConvOutSize(g.h, g.kh, g.stride, g.pad), tensor.ConvOutSize(g.w, g.kw, g.stride, g.pad)
+}
+
+// gather copies the receptive field of output position (oi, oj) over
+// the channels [c0, c0+len(dst)/(kh*kw)) of the C×H×W map x into dst,
+// in im2col row order ((ch-c0)*kh+ki)*kw+kj. dst is then bitwise the
+// matching column of tensor.Im2Col over those channels: padding reads
+// as +0 and every other row is a straight copy.
+//
+//nebula:hotpath
+func (g convGeom) gather(dst, x []float64, c0, oi, oj int) {
+	i0, j0 := oi*g.stride-g.pad, oj*g.stride-g.pad
+	inside := j0 >= 0 && j0+g.kw <= g.w
+	area := g.h * g.w
+	r := 0
+	for ch := c0; ch < c0+len(dst)/(g.kh*g.kw); ch++ {
+		for ki := 0; ki < g.kh; ki++ {
+			seg := dst[r : r+g.kw]
+			r += g.kw
+			ii := i0 + ki
+			if ii < 0 || ii >= g.h {
+				for kj := range seg {
+					seg[kj] = 0
+				}
+				continue
+			}
+			row := x[ch*area+ii*g.w : ch*area+(ii+1)*g.w]
+			if inside {
+				copy(seg, row[j0:j0+g.kw])
+				continue
+			}
+			for kj := range seg {
+				if jj := j0 + kj; jj >= 0 && jj < g.w {
+					seg[kj] = row[jj]
+				} else {
+					seg[kj] = 0
+				}
+			}
+		}
+	}
+}
+
+// convStep steps every (group, output position) replica bank of a conv
+// stage by one timestep: it gathers the receptive-field window from the
+// input map x into sr.colBuf, reads it through the stage's kernel
+// matrix, and writes the bank's spikes into the channel-major output
+// map od. On the event path od arrives pre-zeroed, each window's spike
+// plane is packed from the gathered window, and silent windows skip
+// their bank; the dense walk collects the window's spike list instead.
+//
+//nebula:hotpath
+func (env *execEnv) convStep(hw *stageHW, sr *stageRun, x []float64, geo convGeom, od []float64, event bool, res *RunResult) error {
+	gcIn := hw.inC / hw.groups
+	gcOut := hw.outC / hw.groups
+	oh, ow := geo.outSize()
+	npos := oh * ow
+	colBuf := sr.colBuf
+	bias := biasData(hw.bias)
+	for g := 0; g < hw.groups; g++ {
+		for pos := 0; pos < npos; pos++ {
+			geo.gather(colBuf, x, g*gcIn, pos/ow, pos%ow)
+			// Grouped case: per-group kernel matrices share the row
+			// space; each (position, group) pair owns a replica bank.
+			bankPos := pos
+			if hw.groups > 1 {
+				bankPos = pos*hw.groups + g
+			}
+			var spikes []float64
+			var err error
+			if event {
+				// A window is a gather, not a slice of the input plane,
+				// so its spike plane is packed per window.
+				wp := &sr.winPlane
+				wp.Pack(colBuf)
+				if bias == nil && wp.IsZero() {
+					// Silent window: the replica bank integrates
+					// nothing and every output slot stays zero.
+					res.PackedWords += int64(len(wp.WordSlice()))
+					res.SpikesSkipped += int64(len(colBuf))
+					continue
+				}
+				spikes, err = env.coreStepEvent(hw.snnCore, sr, bankPos, colBuf, wp, nil, bias, false, res)
+			} else {
+				// The window's spike list lets the kernels skip silent
+				// rows.
+				sr.act = sr.act[:0]
+				for r, v := range colBuf {
+					if v != 0 {
+						sr.act = append(sr.act, r)
+					}
+				}
+				spikes, err = env.coreStep(hw.snnCore, sr, bankPos, colBuf, sr.act, bias, res)
+			}
+			if err != nil {
+				return err
+			}
+			for k := g * gcOut; k < (g+1)*gcOut; k++ {
+				od[k*npos+pos] = spikes[k]
+			}
+		}
+	}
+	return nil
+}
+
+// poolStep is one timestep of a pool stage: NU average pooling of x
+// into sr.poolAvg, then the stage's IF bank firing into sr.poolOut.
+//
+//nebula:hotpath
+func poolStep(sr *stageRun, x *tensor.Tensor, k, stride int) {
+	snn.AvgPoolInto(sr.poolAvg, x, k, stride)
+	sr.poolIF.FireInto(sr.poolOut, sr.poolAvg)
+}
+
 // stepStage advances one spiking stage by one timestep. pl is the
 // packed spike plane of x on the event-driven path (nil selects the
 // dense walk); the returned plane covers the returned tensor and is nil
@@ -504,9 +627,11 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 		if hw.snnCore.neurons == nil {
 			return nil, nil, fmt.Errorf("arch: conv stage not programmed (compile with WithInputShape)")
 		}
-		h, w := x.Dim(1), x.Dim(2)
-		oh := tensor.ConvOutSize(h, hw.kh, hw.stride, hw.pad)
-		ow := tensor.ConvOutSize(w, hw.kw, hw.stride, hw.pad)
+		if x.NDim() != 3 || x.Dim(0) != hw.inC {
+			return nil, nil, fmt.Errorf("arch: conv stage %s input shape %v, want %d channels", hw.name, x.Shape(), hw.inC)
+		}
+		geo := convGeom{h: x.Dim(1), w: x.Dim(2), kh: hw.kh, kw: hw.kw, stride: hw.stride, pad: hw.pad}
+		oh, ow := geo.outSize()
 		out := sr.convOut
 		if out == nil || out.Dim(0) != hw.outC || out.Dim(1) != oh || out.Dim(2) != ow {
 			out = tensor.New(hw.outC, oh, ow)
@@ -529,76 +654,12 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 				return out, &sr.outPlane, nil
 			}
 		}
-		gcIn := hw.inC / hw.groups
-		gcOut := hw.outC / hw.groups
-		rfg := gcIn * hw.kh * hw.kw
+		rfg := hw.inC / hw.groups * hw.kh * hw.kw
 		if len(sr.colBuf) != rfg {
 			sr.colBuf = make([]float64, rfg)
 		}
-		colBuf := sr.colBuf
-		area := h * w
-		for g := 0; g < hw.groups; g++ {
-			sub := tensor.FromSlice(x.Data()[g*gcIn*area:(g+1)*gcIn*area], gcIn, h, w)
-			if sr.cols == nil || sr.cols.Dim(0) != rfg || sr.cols.Dim(1) != oh*ow {
-				sr.cols = tensor.New(rfg, oh*ow)
-			}
-			cols := sr.cols
-			tensor.Im2ColInto(cols, sub, hw.kh, hw.kw, hw.stride, hw.pad)
-			for pos := 0; pos < oh*ow; pos++ {
-				// Grouped case: per-group kernel matrices share the row
-				// space; each (position, group) pair owns a replica bank.
-				bankPos := pos
-				if hw.groups > 1 {
-					bankPos = pos*hw.groups + g
-				}
-				var spikes []float64
-				var err error
-				if pl != nil {
-					// Gather the receptive-field window and pack its
-					// spike plane in one pass (im2col scatters indices,
-					// so the window plane is rebuilt, not windowed).
-					wp := &sr.winPlane
-					wp.Reset(rfg)
-					for r := 0; r < rfg; r++ {
-						v := cols.At(r, pos)
-						colBuf[r] = v
-						if v != 0 {
-							wp.Set(r)
-							//nebula:lint-ignore float-eq binary detection is exact by design: only the literal 1.0 lets the bit pattern stand in for the value
-							if v != 1.0 {
-								wp.MarkGraded()
-							}
-						}
-					}
-					if hw.bias == nil && wp.IsZero() {
-						// Silent window: the replica bank integrates
-						// nothing and every output slot stays zero.
-						res.PackedWords += int64(len(wp.WordSlice()))
-						res.SpikesSkipped += int64(rfg)
-						continue
-					}
-					spikes, err = env.coreStepEvent(hw.snnCore, sr, bankPos, colBuf, wp, nil, biasData(hw.bias), false, res)
-				} else {
-					// Gather the receptive-field window and its spike
-					// list in one pass; the kernels skip silent rows.
-					act := sr.act[:0]
-					for r := 0; r < rfg; r++ {
-						v := cols.At(r, pos)
-						colBuf[r] = v
-						if v != 0 {
-							act = append(act, r)
-						}
-					}
-					sr.act = act
-					spikes, err = env.coreStep(hw.snnCore, sr, bankPos, colBuf, act, biasData(hw.bias), res)
-				}
-				if err != nil {
-					return nil, nil, err
-				}
-				for k := 0; k < gcOut; k++ {
-					out.Set(spikes[g*gcOut+k], g*gcOut+k, pos/ow, pos%ow)
-				}
-			}
+		if err := env.convStep(hw, sr, x.Data(), geo, out.Data(), pl != nil, res); err != nil {
+			return nil, nil, err
 		}
 		// Spikes travel to the consumer stage over the mesh.
 		res.NoCPackets++
@@ -681,11 +742,19 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 				sr.outPlane.Reset(sr.poolZero.Size())
 				return sr.poolZero, &sr.outPlane, nil
 			}
-			out := sr.poolIF.Fire(snn.AvgPool(x, hw.pool.K, hw.pool.Stride))
-			sr.outPlane.Pack(out.Data())
-			return out, &sr.outPlane, nil
 		}
-		return sr.poolIF.Fire(snn.AvgPool(x, hw.pool.K, hw.pool.Stride)), nil, nil
+		oh := tensor.ConvOutSize(x.Dim(1), hw.pool.K, hw.pool.Stride, 0)
+		ow := tensor.ConvOutSize(x.Dim(2), hw.pool.K, hw.pool.Stride, 0)
+		if sr.poolOut == nil || sr.poolOut.Dim(0) != x.Dim(0) || sr.poolOut.Dim(1) != oh || sr.poolOut.Dim(2) != ow {
+			sr.poolAvg = tensor.New(x.Dim(0), oh, ow)
+			sr.poolOut = tensor.New(x.Dim(0), oh, ow)
+		}
+		poolStep(sr, x, hw.pool.K, hw.pool.Stride)
+		if pl != nil {
+			sr.outPlane.Pack(sr.poolOut.Data())
+			return sr.poolOut, &sr.outPlane, nil
+		}
+		return sr.poolOut, nil, nil
 	case "flatten":
 		// Flattening reorders nothing, so the plane carries over.
 		return x.Reshape(x.Size()), pl, nil
@@ -796,25 +865,24 @@ func (env *execEnv) annExec(core *ANNCore, inputs [][]float64, bias *tensor.Tens
 func (env *execEnv) annStage(hw *annStageHW, x *tensor.Tensor, res *RunResult) (*tensor.Tensor, error) {
 	switch hw.kind {
 	case "conv":
-		h, w := x.Dim(1), x.Dim(2)
-		oh := tensor.ConvOutSize(h, hw.kh, hw.stride, hw.pad)
-		ow := tensor.ConvOutSize(w, hw.kw, hw.stride, hw.pad)
+		if x.NDim() != 3 || x.Dim(0) != hw.gcIn*hw.groups {
+			return nil, fmt.Errorf("arch: conv stage %s input shape %v, want %d channels", hw.name, x.Shape(), hw.gcIn*hw.groups)
+		}
+		geo := convGeom{h: x.Dim(1), w: x.Dim(2), kh: hw.kh, kw: hw.kw, stride: hw.stride, pad: hw.pad}
+		oh, ow := geo.outSize()
 		out := tensor.New(hw.outC, oh, ow)
+		od := out.Data()
+		npos := oh * ow
 		gcOut := hw.outC / hw.groups
-		area := h * w
+		rows := hw.gcIn * hw.kh * hw.kw
+		// One window per position, reused across groups: annExec has
+		// consumed a group's windows before the next group's gather.
+		windows := make([]float64, npos*rows)
+		inputs := make([][]float64, npos)
 		for g := 0; g < hw.groups; g++ {
-			sub := x
-			if hw.groups > 1 {
-				sub = tensor.FromSlice(x.Data()[g*hw.gcIn*area:(g+1)*hw.gcIn*area], hw.gcIn, h, w)
-			}
-			cols := tensor.Im2Col(sub, hw.kh, hw.kw, hw.stride, hw.pad)
-			inputs := make([][]float64, oh*ow)
 			for pos := range inputs {
-				col := make([]float64, cols.Dim(0))
-				for r := range col {
-					col[r] = cols.At(r, pos)
-				}
-				inputs[pos] = col
+				inputs[pos] = windows[pos*rows : (pos+1)*rows]
+				geo.gather(inputs[pos], x.Data(), g*hw.gcIn, pos/ow, pos%ow)
 			}
 			sums, err := env.annExec(hw.core, inputs, hw.bias, res)
 			if err != nil {
@@ -822,7 +890,7 @@ func (env *execEnv) annStage(hw *annStageHW, x *tensor.Tensor, res *RunResult) (
 			}
 			for pos, row := range sums {
 				for k := g * gcOut; k < (g+1)*gcOut; k++ {
-					out.Set(row[k], k, pos/ow, pos%ow)
+					od[k*npos+pos] = row[k]
 				}
 			}
 		}

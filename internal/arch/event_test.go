@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/convert"
 	"repro/internal/crossbar"
-	"repro/internal/dataset"
 	"repro/internal/device"
-	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/snn"
 	"repro/internal/spikeplane"
@@ -97,20 +95,9 @@ func TestSessionEventDrivenHybrid(t *testing.T) {
 }
 
 func TestSessionEventDrivenConv(t *testing.T) {
-	// Grouped convolution exercises the per-position window planes and
-	// the silent-window skip inside the im2col walk.
-	r := rng.New(19)
-	net := nn.NewNetwork("dw",
-		nn.NewConv2D("dw", 4, 4, 3, 3, 1, 1, 4, r),
-		nn.NewReLU("relu"),
-		nn.NewFlatten("flat"),
-		nn.NewLinear("fc", 4*8*8, 4, r),
-	)
-	d := dataset.Generate(dataset.Spec{Name: "x", Classes: 4, Channels: 4, Size: 8, Noise: 0.1, Jitter: 1}, 16, 1)
-	c, err := convert.Convert(net, d, convert.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Both conv stages exercise the per-window spike planes and the
+	// silent-window skip of the window gather.
+	c, d := convFixture(t)
 	assertEventMatchesDense(t, c, sessionImages(t, d, 6),
 		WithMode(ModeSNN), WithTimesteps(10), WithSeed(42), WithInputShape(4, 8, 8))
 }

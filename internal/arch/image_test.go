@@ -14,7 +14,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/image"
 	"repro/internal/models"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/snn"
@@ -103,20 +102,9 @@ func TestImageRoundTripBitwiseHybrid(t *testing.T) {
 }
 
 func TestImageRoundTripBitwiseConv(t *testing.T) {
-	// Grouped convolution exercises the position-replica banks and the
-	// spill blocks — the geometry the loader must rebuild exactly.
-	r := rng.New(19)
-	net := nn.NewNetwork("dw",
-		nn.NewConv2D("dw", 4, 4, 3, 3, 1, 1, 4, r),
-		nn.NewReLU("relu"),
-		nn.NewFlatten("flat"),
-		nn.NewLinear("fc", 4*8*8, 4, r),
-	)
-	d := dataset.Generate(dataset.Spec{Name: "x", Classes: 4, Channels: 4, Size: 8, Noise: 0.1, Jitter: 1}, 16, 1)
-	c, err := convert.Convert(net, d, convert.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The conv stages' position-replica banks and the classifier's spill
+	// blocks are the geometry the loader must rebuild exactly.
+	c, d := convFixture(t)
 	assertImageRoundTrip(t, c, sessionImages(t, d, 4),
 		WithMode(ModeSNN), WithTimesteps(10), WithSeed(42), WithInputShape(4, 8, 8))
 }

@@ -6,9 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/convert"
-	"repro/internal/dataset"
-	"repro/internal/nn"
-	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -70,20 +67,9 @@ func TestSessionFrozenKernelBitwiseHybrid(t *testing.T) {
 }
 
 func TestSessionFrozenKernelBitwiseConv(t *testing.T) {
-	// Grouped convolution exercises the spike-list plumbing through the
-	// im2col window gather.
-	r := rng.New(19)
-	net := nn.NewNetwork("dw",
-		nn.NewConv2D("dw", 4, 4, 3, 3, 1, 1, 4, r),
-		nn.NewReLU("relu"),
-		nn.NewFlatten("flat"),
-		nn.NewLinear("fc", 4*8*8, 4, r),
-	)
-	d := dataset.Generate(dataset.Spec{Name: "x", Classes: 4, Channels: 4, Size: 8, Noise: 0.1, Jitter: 1}, 16, 1)
-	c, err := convert.Convert(net, d, convert.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Both conv stages exercise the spike-list plumbing through the
+	// window gather.
+	c, d := convFixture(t)
 	assertKernelOffMatchesOn(t, c, sessionImages(t, d, 6),
 		WithMode(ModeSNN), WithTimesteps(10), WithSeed(42), WithInputShape(4, 8, 8))
 }

@@ -105,21 +105,34 @@ func TestSessionRunBatchBitwiseHybrid(t *testing.T) {
 		WithMode(ModeHybrid), WithHybridSplit(1), WithTimesteps(20), WithSeed(42))
 }
 
-func TestSessionRunBatchBitwiseConv(t *testing.T) {
-	// Grouped convolution exercises the per-run position-replica banks —
-	// the largest piece of mutable state the arena has to keep private.
+// convFixture converts a two-stage conv network over 4×8×8 inputs: a
+// depthwise 3×3 stride-1 pad-1 conv (grouped window gathers with
+// padding), then a dense 3×2 stride-2 pad-0 conv (rectangular windows
+// that skip input columns), then a 192-input classifier that spills
+// into two crossbar blocks.
+func convFixture(t *testing.T) (*convert.Converted, *dataset.Dataset) {
+	t.Helper()
 	r := rng.New(19)
 	net := nn.NewNetwork("dw",
 		nn.NewConv2D("dw", 4, 4, 3, 3, 1, 1, 4, r),
 		nn.NewReLU("relu"),
+		nn.NewConv2D("pw", 4, 16, 3, 2, 2, 0, 1, r),
+		nn.NewReLU("relu2"),
 		nn.NewFlatten("flat"),
-		nn.NewLinear("fc", 4*8*8, 4, r),
+		nn.NewLinear("fc", 16*3*4, 4, r),
 	)
 	d := dataset.Generate(dataset.Spec{Name: "x", Classes: 4, Channels: 4, Size: 8, Noise: 0.1, Jitter: 1}, 16, 1)
 	c, err := convert.Convert(net, d, convert.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c, d
+}
+
+func TestSessionRunBatchBitwiseConv(t *testing.T) {
+	// The per-run position-replica banks are the largest piece of
+	// mutable state the arena has to keep private.
+	c, d := convFixture(t)
 	assertBatchMatchesSequential(t, c, sessionImages(t, d, 6),
 		WithMode(ModeSNN), WithTimesteps(10), WithSeed(42), WithInputShape(4, 8, 8))
 }

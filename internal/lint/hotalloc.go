@@ -15,8 +15,9 @@ import (
 // allocation-inducing constructs anywhere in the closure: make/new,
 // appends that can grow, slice and map composite literals,
 // &T{...} heap literals, closures, boxing of concrete values into
-// interface parameters, fmt.Sprint*/Errorf, and string concatenation
-// inside loops.
+// interface parameters, fmt.Sprint*/Errorf, string concatenation
+// inside loops, and implicit variadic slices handed to a callee whose
+// variadic parameter escapes into a fmt call.
 //
 // Real hot paths are not allocation-free in the naive syntactic sense,
 // so three idioms are recognized as off the steady state:
@@ -38,6 +39,15 @@ import (
 //   - Recycled appends. append(x[:0], ...) and appends to a variable
 //     previously reset with x = x[:0] reuse capacity and settle after
 //     warm-up.
+//
+// The variadic rule looks through cold exits on purpose. Escape
+// analysis is flow-insensitive: if a callee's ...T parameter reaches a
+// fmt call anywhere — typically the panic message of a bounds check —
+// the parameter escapes, and every caller heap-allocates the implicit
+// slice of its arguments on every call, cold path taken or not. The
+// parameter is followed through the callee's own intra-module calls
+// that receive it as a slice; formatting a copy (append([]T(nil),
+// p...)) does not count as reaching.
 //
 // Calls through interfaces and function values are not resolved by the
 // call graph and therefore not checked (the documented callgraph.go
@@ -85,10 +95,11 @@ func runHotalloc(prog *Program) []Finding {
 		}
 	}
 	coldLines := coldpathLines(prog)
+	leaks := &fmtLeaks{memo: map[*types.Var]string{}, busy: map[*types.Var]bool{}}
 	for len(queue) > 0 {
 		fn := queue[0]
 		queue = queue[1:]
-		hc := &hotChecker{fn: fn, root: root[fn]}
+		hc := &hotChecker{fn: fn, root: root[fn], leaks: leaks}
 		hc.analyze(coldLines[fn.Pkg])
 		findings = append(findings, hc.findings...)
 		for _, site := range fn.Callees {
@@ -147,6 +158,7 @@ func inSpans(spans []span, pos token.Pos) bool {
 type hotChecker struct {
 	fn       *FuncInfo
 	root     string
+	leaks    *fmtLeaks
 	findings []Finding
 
 	cold    []span // skipped entirely: error tails, panics, //nebula:coldpath
@@ -275,12 +287,10 @@ func (hc *hotChecker) checkCall(call *ast.CallExpr, recycled map[string]bool) {
 			return
 		}
 	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if fn, ok := p.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
-			if strings.HasPrefix(fn.Name(), "Sprint") || fn.Name() == "Errorf" {
-				hc.flag(call.Pos(), "fmt."+fn.Name()+" allocates and boxes its operands")
-				return
-			}
+	if fn := fmtFunc(p, call); fn != nil {
+		if strings.HasPrefix(fn.Name(), "Sprint") || fn.Name() == "Errorf" {
+			hc.flag(call.Pos(), "fmt."+fn.Name()+" allocates and boxes its operands")
+			return
 		}
 	}
 	tv := p.Info.Types[call.Fun]
@@ -299,6 +309,112 @@ func (hc *hotChecker) checkCall(call *ast.CallExpr, recycled map[string]bool) {
 		return
 	}
 	hc.checkBoxing(call, sig)
+	hc.checkVariadicEscape(call, sig)
+}
+
+// checkVariadicEscape flags a call that builds an implicit variadic
+// slice (arguments listed, no ... spread) for an intra-module callee
+// whose variadic parameter reaches a fmt call: the parameter escapes,
+// so the slice is heap-allocated on every call.
+func (hc *hotChecker) checkVariadicEscape(call *ast.CallExpr, sig *types.Signature) {
+	if !sig.Variadic() || call.Ellipsis.IsValid() || len(call.Args) < sig.Params().Len() ||
+		inSpans(hc.excused, call.Pos()) {
+		return
+	}
+	for _, site := range hc.fn.Callees {
+		if site.Call != call {
+			continue
+		}
+		params := site.Callee.Obj.Type().(*types.Signature).Params()
+		if via := hc.leaks.reachesFmt(site.Callee, params.At(params.Len()-1)); via != "" {
+			hc.flag(call.Pos(), fmt.Sprintf("implicit variadic slice escapes to the heap: the ... parameter of %s reaches %s; format a copy instead",
+				site.Callee.Name(), via))
+		}
+		return
+	}
+}
+
+// fmtLeaks memoizes, per slice parameter, the fmt call the parameter's
+// slice value reaches ("" when none).
+type fmtLeaks struct {
+	memo map[*types.Var]string
+	busy map[*types.Var]bool
+}
+
+// reachesFmt returns the fmt function (as "fmt.Name") that the slice
+// parameter param of fn reaches: passed directly (or resliced) as a fmt
+// argument anywhere in fn's body, cold exits included, or handed as a
+// slice to an intra-module callee whose matching parameter reaches one.
+func (l *fmtLeaks) reachesFmt(fn *FuncInfo, param *types.Var) string {
+	if via, ok := l.memo[param]; ok {
+		return via
+	}
+	if l.busy[param] {
+		return "" // recursive cycle: the outer walk decides
+	}
+	l.busy[param] = true
+	defer delete(l.busy, param)
+	p := fn.Pkg
+	isParam := func(e ast.Expr) bool {
+		e = ast.Unparen(e)
+		if s, ok := e.(*ast.SliceExpr); ok {
+			e = ast.Unparen(s.X)
+		}
+		id, ok := e.(*ast.Ident)
+		return ok && p.Info.Uses[id] == param
+	}
+	callees := map[*ast.CallExpr]*FuncInfo{}
+	for _, site := range fn.Callees {
+		callees[site.Call] = site.Callee
+	}
+	via := ""
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if via != "" || !ok {
+			return via == ""
+		}
+		if f := fmtFunc(p, call); f != nil {
+			for _, a := range call.Args {
+				if isParam(a) {
+					via = "fmt." + f.Name()
+				}
+			}
+			return true
+		}
+		callee := callees[call]
+		if callee == nil {
+			return true
+		}
+		sig := callee.Obj.Type().(*types.Signature)
+		params := sig.Params()
+		for i, a := range call.Args {
+			if via != "" || !isParam(a) {
+				continue
+			}
+			switch {
+			case !sig.Variadic() || i < params.Len()-1:
+				via = l.reachesFmt(callee, params.At(i))
+			case call.Ellipsis.IsValid():
+				via = l.reachesFmt(callee, params.At(params.Len()-1))
+			}
+		}
+		return true
+	})
+	l.memo[param] = via
+	return via
+}
+
+// fmtFunc returns the fmt package function a call invokes, or nil.
+func fmtFunc(p *Package, call *ast.CallExpr) *types.Func {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" {
+		return nil
+	}
+	return fn
 }
 
 // checkBoxing flags arguments that box concrete values into interface

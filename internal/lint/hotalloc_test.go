@@ -269,3 +269,88 @@ func Cold() []float64 {
 		t.Errorf("findings without any //nebula:hotpath root: %v %v", active, suppressed)
 	}
 }
+
+// TestHotallocVariadicEscape reproduces the old tensor.At/Set pattern:
+// the variadic index slice reaches fmt.Sprintf in a bounds-check panic
+// of a helper, so escape analysis moves every caller's implicit slice
+// to the heap even though the panic is a cold exit. Spread calls and
+// helpers that format a copy stay clean.
+func TestHotallocVariadicEscape(t *testing.T) {
+	src := `package fix
+
+import (
+	"errors"
+	"fmt"
+)
+
+type T struct {
+	shape []int
+	data  []float64
+}
+
+func (t *T) At(idx ...int) float64 { return t.data[t.offset(idx)] }
+
+func (t *T) offset(idx []int) int {
+	if len(idx) != len(t.shape) {
+		panic(fmt.Sprintf("index %v does not match shape %v", idx, t.shape))
+	}
+	off := 0
+	for i, x := range idx {
+		off = off*t.shape[i] + x
+	}
+	return off
+}
+
+func (t *T) AtCopy(idx ...int) float64 { return t.data[t.offsetCopy(idx)] }
+
+func (t *T) offsetCopy(idx []int) int {
+	if len(idx) != len(t.shape) {
+		panic(fmt.Sprintf("index %v does not match shape %v", append([]int(nil), idx...), t.shape))
+	}
+	return idx[0]
+}
+
+func check(xs ...int) error {
+	if len(xs) > 8 {
+		return fmt.Errorf("too many: %v", xs[1:])
+	}
+	if len(xs) == 0 {
+		return errors.New("empty")
+	}
+	return nil
+}
+
+func sum(xs ...int) int {
+	s := 0
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+//nebula:hotpath
+func Hot(t *T, idx []int, i, j int) float64 {
+	v := t.At(i, j)
+	v += t.At(idx...)
+	v += t.AtCopy(i, j)
+	v += float64(sum(i, j))
+	if check(i, j) != nil {
+		v = 0
+	}
+	return v
+}
+`
+	active, _ := hotallocMessages(t, src)
+	if got := countContaining(active, "implicit variadic slice escapes"); got != 2 {
+		t.Errorf("variadic-escape findings = %d, want 2 (t.At(i, j), check(i, j))\nall: %v", got, active)
+	}
+	if got := countContaining(active, "fix.T.At reaches fmt.Sprintf"); got != 1 {
+		t.Errorf("t.At finding should name the Sprintf it reaches through offset\nall: %v", active)
+	}
+	if got := countContaining(active, "fix.check reaches fmt.Errorf"); got != 1 {
+		t.Errorf("check finding should name the Errorf its cold exit reaches\nall: %v", active)
+	}
+	if len(active) != 2 {
+		t.Errorf("unexpected findings: %v", active)
+	}
+}

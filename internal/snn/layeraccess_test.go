@@ -64,10 +64,8 @@ func TestLayerAccessors(t *testing.T) {
 
 	// The free-standing membrane bank fires like a layer-owned one.
 	s := NewIFState(1.0, ResetToZero)
-	spikes := s.Fire(in)
-	if spikes.Size() != 3 {
-		t.Fatalf("Fire returned %d spikes, want 3", spikes.Size())
-	}
+	spikes := tensor.New(in.Shape()...)
+	s.FireInto(spikes, in)
 	fired := false
 	for _, v := range spikes.Data() {
 		if v == 1 {

@@ -83,35 +83,30 @@ func NewIFState(vth float64, mode ResetMode) *IFState {
 	return newIFState(vth, mode)
 }
 
-// Fire integrates one timestep of input current and returns the binary
-// spike tensor — the exported form of the integrate-and-fire update for
-// callers that manage IF state per run instead of per layer.
-func (s *IFState) Fire(current *tensor.Tensor) *tensor.Tensor {
-	return s.fire(current)
-}
-
-// Reset clears membrane and counters.
-func (s *IFState) Reset() {
-	s.u = nil
-	s.perNeuron = nil
-	s.refractoryLeft = nil
-	s.count = 0
-}
-
-// fire integrates the input current and returns the binary spike tensor.
-func (s *IFState) fire(current *tensor.Tensor) *tensor.Tensor {
+// FireInto integrates one timestep of input current and writes the
+// binary spike tensor into dst, a tensor of current's shape — the
+// exported form of the integrate-and-fire update for callers that manage
+// IF state per run instead of per layer and reuse one output buffer
+// across timesteps. Every element of dst is assigned.
+//
+//nebula:hotpath
+func (s *IFState) FireInto(dst, current *tensor.Tensor) {
+	if !tensor.SameShape(dst, current) {
+		panic(fmt.Sprintf("snn: FireInto destination %v must match the current shape %v", dst.Shape(), current.Shape()))
+	}
+	//nebula:coldpath the first step after Reset sizes the membrane bank
 	if s.u == nil || !tensor.SameShape(s.u, current) {
 		s.u = tensor.New(current.Shape()...)
 		s.perNeuron = tensor.New(current.Shape()...)
 		s.refractoryLeft = make([]int, current.Size())
 	}
-	out := tensor.New(current.Shape()...)
-	ud, cd, od, pd := s.u.Data(), current.Data(), out.Data(), s.perNeuron.Data()
+	ud, cd, od, pd := s.u.Data(), current.Data(), dst.Data(), s.perNeuron.Data()
 	leak := s.Leak
 	if leak <= 0 || leak > 1 {
 		leak = 1
 	}
 	for i := range ud {
+		od[i] = 0
 		if s.refractoryLeft[i] > 0 {
 			s.refractoryLeft[i]--
 			continue
@@ -129,6 +124,20 @@ func (s *IFState) fire(current *tensor.Tensor) *tensor.Tensor {
 			s.refractoryLeft[i] = s.Refractory
 		}
 	}
+}
+
+// Reset clears membrane and counters.
+func (s *IFState) Reset() {
+	s.u = nil
+	s.perNeuron = nil
+	s.refractoryLeft = nil
+	s.count = 0
+}
+
+// fire integrates the input current and returns the binary spike tensor.
+func (s *IFState) fire(current *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(current.Shape()...)
+	s.FireInto(out, current)
 	return out
 }
 
@@ -273,9 +282,23 @@ func (p *AvgPoolIF) Step(in *tensor.Tensor) *tensor.Tensor {
 // (spiking mode pairs it with a per-run IFState; ANN mode uses it alone).
 func AvgPool(in *tensor.Tensor, k, stride int) *tensor.Tensor {
 	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
+	pooled := tensor.New(c, tensor.ConvOutSize(h, k, stride, 0), tensor.ConvOutSize(w, k, stride, 0))
+	AvgPoolInto(pooled, in, k, stride)
+	return pooled
+}
+
+// AvgPoolInto is AvgPool writing into a caller-provided C×OH×OW
+// destination, so per-timestep callers reuse one buffer. Every element
+// of pooled is assigned.
+//
+//nebula:hotpath
+func AvgPoolInto(pooled, in *tensor.Tensor, k, stride int) {
+	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
 	oh := tensor.ConvOutSize(h, k, stride, 0)
 	ow := tensor.ConvOutSize(w, k, stride, 0)
-	pooled := tensor.New(c, oh, ow)
+	if pooled.NDim() != 3 || pooled.Dim(0) != c || pooled.Dim(1) != oh || pooled.Dim(2) != ow {
+		panic(fmt.Sprintf("snn: AvgPoolInto destination %v must be [%d %d %d]", pooled.Shape(), c, oh, ow))
+	}
 	inv := 1.0 / float64(k*k)
 	id, pd := in.Data(), pooled.Data()
 	for ch := 0; ch < c; ch++ {
@@ -294,7 +317,6 @@ func AvgPool(in *tensor.Tensor, k, stride int) *tensor.Tensor {
 			}
 		}
 	}
-	return pooled
 }
 
 // Flatten reshapes spikes to a vector; it is stateless.

@@ -139,6 +139,45 @@ func TestAvgPoolIF(t *testing.T) {
 	}
 }
 
+// TestPoolStepIntoMatchesAllocating drives the reused-buffer pool step
+// (AvgPoolInto, then FireInto on one destination across timesteps)
+// against the allocating AvgPool and fire on a twin IF bank, bitwise,
+// with leak and refractory set so every branch of the update runs.
+func TestPoolStepIntoMatchesAllocating(t *testing.T) {
+	r := rng.New(31)
+	for trial := 0; trial < 20; trial++ {
+		c, h, w := 1+r.Intn(3), 2+r.Intn(7), 2+r.Intn(7)
+		k := 1 + r.Intn(2)
+		stride := 1 + r.Intn(2)
+		oh := tensor.ConvOutSize(h, k, stride, 0)
+		ow := tensor.ConvOutSize(w, k, stride, 0)
+		ref, got := newIFState(0.8, ResetBySubtraction), newIFState(0.8, ResetBySubtraction)
+		ref.Leak, got.Leak = 0.9, 0.9
+		ref.Refractory, got.Refractory = 1, 1
+		pooled := tensor.New(c, oh, ow).Fill(math.NaN())
+		spikes := tensor.New(c, oh, ow).Fill(-1)
+		for step := 0; step < 6; step++ {
+			in := tensor.New(c, h, w)
+			for i := range in.Data() {
+				if r.Bernoulli(0.5) {
+					in.Data()[i] = 1
+				}
+			}
+			want := AvgPool(in, k, stride)
+			AvgPoolInto(pooled, in, k, stride)
+			wantSpikes := ref.fire(want)
+			got.FireInto(spikes, pooled)
+			for i := range want.Data() {
+				if math.Float64bits(pooled.Data()[i]) != math.Float64bits(want.Data()[i]) ||
+					spikes.Data()[i] != wantSpikes.Data()[i] {
+					t.Fatalf("trial %d step %d elem %d: pooled %v spikes %v, want %v / %v",
+						trial, step, i, pooled.Data()[i], spikes.Data()[i], want.Data()[i], wantSpikes.Data()[i])
+				}
+			}
+		}
+	}
+}
+
 func TestFlattenStateless(t *testing.T) {
 	f := NewFlatten("f")
 	in := tensor.New(2, 3, 4)

@@ -112,14 +112,17 @@ func (t *Tensor) Set(v float64, idx ...int) {
 	t.data[t.offset(idx)] = v
 }
 
+// offset flattens a multi-index. idx must not escape: At and Set are
+// variadic, so a leaking idx would make every caller heap-allocate its
+// implicit index slice. The panic messages therefore format a copy.
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match shape %v", idx, t.shape))
+		panic(fmt.Sprintf("tensor: index %v does not match shape %v", append([]int(nil), idx...), t.shape))
 	}
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
+			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", append([]int(nil), idx...), t.shape))
 		}
 		off = off*t.shape[i] + x
 	}
@@ -421,29 +424,6 @@ func Im2Col(img *Tensor, kh, kw, stride, pad int) *Tensor {
 	oh := ConvOutSize(h, kh, stride, pad)
 	ow := ConvOutSize(w, kw, stride, pad)
 	out := New(c*kh*kw, oh*ow)
-	Im2ColInto(out, img, kh, kw, stride, pad)
-	return out
-}
-
-// Im2ColInto is Im2Col writing into a caller-provided
-// (C*KH*KW) × (OH*OW) destination, so per-timestep convolution unfolds
-// reuse one buffer. The destination is zeroed first (padding positions
-// must read as zero).
-//
-//nebula:hotpath
-func Im2ColInto(out, img *Tensor, kh, kw, stride, pad int) {
-	if img.NDim() != 3 {
-		panic("tensor: Im2Col requires a C×H×W tensor")
-	}
-	c, h, w := img.shape[0], img.shape[1], img.shape[2]
-	oh := ConvOutSize(h, kh, stride, pad)
-	ow := ConvOutSize(w, kw, stride, pad)
-	if out.NDim() != 2 || out.shape[0] != c*kh*kw || out.shape[1] != oh*ow {
-		panic(fmt.Sprintf("tensor: Im2Col destination %v, want [%d %d]", out.shape, c*kh*kw, oh*ow))
-	}
-	for i := range out.data {
-		out.data[i] = 0
-	}
 	for ch := 0; ch < c; ch++ {
 		chBase := ch * h * w
 		for ki := 0; ki < kh; ki++ {
@@ -468,6 +448,7 @@ func Im2ColInto(out, img *Tensor, kh, kw, stride, pad int) {
 			}
 		}
 	}
+	return out
 }
 
 // Col2Im folds a (C*KH*KW) × (OH*OW) column matrix back into a C×H×W

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +60,44 @@ func TestAtOutOfBoundsPanics(t *testing.T) {
 		}
 	}()
 	New(2, 2).At(2, 0)
+}
+
+// TestAtSetDoNotAllocate pins that the variadic index slice of At and
+// Set stays on the caller's stack: offset must not leak idx.
+func TestAtSetDoNotAllocate(t *testing.T) {
+	x := New(3, 4, 5)
+	i, j, k := 2, 3, 4
+	if n := testing.AllocsPerRun(100, func() { x.Set(x.At(i, j, k)+1, i, j, k) }); n != 0 {
+		t.Fatalf("At/Set allocated %v times per call, want 0", n)
+	}
+}
+
+// TestAtSetPanicsNameIndex checks that the bounds and rank checks still
+// fire, with the offending index in the message.
+func TestAtSetPanicsNameIndex(t *testing.T) {
+	x := New(2, 3)
+	cases := []struct {
+		name string
+		f    func()
+		want string
+	}{
+		{"at out of range", func() { x.At(1, 3) }, "index [1 3] out of bounds for shape [2 3]"},
+		{"at negative", func() { x.At(-1, 0) }, "index [-1 0] out of bounds"},
+		{"set out of range", func() { x.Set(1, 2, 0) }, "index [2 0] out of bounds"},
+		{"at wrong rank", func() { x.At(1) }, "index [1] does not match shape [2 3]"},
+		{"set wrong rank", func() { x.Set(1, 0, 0, 0) }, "index [0 0 0] does not match shape [2 3]"},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q, want it to contain %q", c.name, msg, c.want)
+				}
+			}()
+			c.f()
+		}()
+	}
 }
 
 func TestReshapeView(t *testing.T) {
