@@ -84,12 +84,14 @@ obs-check:
 	@echo "obs snapshots bitwise identical across parallelism"
 
 # Frozen-kernel equivalence gate: the differential fuzz suite proving the
-# baked read kernels are bitwise identical to the dense reference, plus
-# the session-level comparison against the kernel-off oracle, under the
-# race detector (DESIGN.md §10).
+# baked read kernels are bitwise identical to the dense reference and
+# that a stale kernel fails loudly (ErrStaleKernel), plus the
+# session-level comparison against the kernel-off oracle — at compile
+# and after every maintenance pass — under the race detector
+# (DESIGN.md §10).
 kernel-check:
-	$(GO) test -race -count=1 ./internal/crossbar -run 'TestMACReadKernel|TestKernelInvalidation|TestKernelFresh|TestMACReadPacked'
-	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionFrozenKernel|TestCompileBakesKernels'
+	$(GO) test -race -count=1 ./internal/crossbar -run 'TestMACReadKernel|TestKernelInvalidation|TestKernelFresh|TestMACReadPacked|TestMACReadIntoStaleKernel'
+	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionFrozenKernel|TestCompileBakesKernels|TestMaintenanceKeepsKernelsFresh'
 	@echo "frozen kernels bitwise identical to the dense reference"
 
 # Event-driven identity gate (DESIGN.md §15): the packed-plane property

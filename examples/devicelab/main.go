@@ -51,7 +51,7 @@ func main() {
 		panic(err)
 	}
 	x := []float64{1, 0.5, 0.25, 0.75}
-	got, _ := cb.MAC(x)
+	got, _ := cb.MACRead(x, nil, nil)
 	fmt.Printf("\ncrossbar MAC of %v:\n  analog %v\n", x, got)
 	fmt.Printf("  program energy: %.1f fJ over %d synapses\n",
 		cb.Stats().ProgramEnergyFJ, 4*3)
@@ -70,7 +70,11 @@ func main() {
 	for i := range input {
 		input[i] = r.Float64()
 	}
-	out, _ := st.Evaluate(input)
+	out := make([]float64, 64)
+	var sc arch.EvalScratch
+	if err := st.EvaluateReadInto(out, input, nil, nil, nil, &sc); err != nil {
+		panic(err)
+	}
 	fmt.Printf("\nsuper-tile: Rf=600 kernel at NU level %v, utilization %.3f\n",
 		st.NULevel(), st.Utilization())
 	fmt.Printf("  first column currents (weight units): %.3f %.3f %.3f ...\n",

@@ -36,6 +36,51 @@ func idealDot(w *tensor.Tensor, x []float64) []float64 {
 	return out
 }
 
+// readTile reads one input through a programmed super-tile on the
+// production read path (EvaluateReadInto), noiseless.
+func readTile(t *testing.T, st *SuperTile, in []float64) []float64 {
+	t.Helper()
+	out := make([]float64, st.cols)
+	var sc EvalScratch
+	if err := st.EvaluateReadInto(out, in, nil, nil, nil, &sc); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// coreHarness steps one programmed SNN core through the session engine's
+// stepper (execEnv.coreStep), against a replica bank built by the same
+// newRunState a session run uses.
+type coreHarness struct {
+	core *SNNCore
+	env  execEnv
+	sr   *stageRun
+	res  RunResult
+}
+
+// newCoreHarness bakes the core's kernels, as Compile does, and lays
+// out one run's state for it.
+func newCoreHarness(core *SNNCore) *coreHarness {
+	core.ST.Bake()
+	sess := &Session{snnStages: []*stageHW{{kind: "dense", snnCore: core}}}
+	return &coreHarness{core: core, sr: sess.newRunState().stages[0]}
+}
+
+// step advances output position 0 by one timestep and returns the spike
+// vector.
+func (h *coreHarness) step(t *testing.T, in []float64) []float64 {
+	t.Helper()
+	out, err := h.env.coreStep(h.core, h.sr, 0, in, nil, nil, &h.res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// membrane returns the normalized membrane potential (wall position) of
+// position 0's neuron k.
+func (h *coreHarness) membrane(k int) float64 { return h.sr.neurons[k].Membrane() }
+
 func TestSuperTileSingleAC(t *testing.T) {
 	r := rng.New(1)
 	st := NewSuperTile(device.DefaultParams(), crossbar.Config{}, nil)
@@ -50,10 +95,7 @@ func TestSuperTileSingleAC(t *testing.T) {
 	for i := range x {
 		x[i] = r.Float64()
 	}
-	got, err := st.Evaluate(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readTile(t, st, x)
 	want := idealDot(w, x)
 	bound := 1.0 / (2 * 15) * 27 // quantization bound
 	for c := range got {
@@ -80,10 +122,7 @@ func TestSuperTileHierarchySummation(t *testing.T) {
 	for i := range x {
 		x[i] = r.Float64()
 	}
-	got, err := st.Evaluate(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readTile(t, st, x)
 	want := idealDot(w, x)
 	bound := 1.0 / (2 * 15) * rf
 	for c := range got {
@@ -124,7 +163,9 @@ func TestANNCoreSaturation(t *testing.T) {
 	if err := st.Program(w, 1); err != nil {
 		t.Fatal(err)
 	}
-	out, err := st.Execute([][]float64{{1, 1, 1, 0}})
+	var env execEnv
+	var res RunResult
+	out, err := env.annExec(st, [][]float64{{1, 1, 1, 0}}, nil, &res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +175,8 @@ func TestANNCoreSaturation(t *testing.T) {
 	if out[0][1] != 0 {
 		t.Fatalf("column 1 should rectify to 0, got %v", out[0][1])
 	}
-	if st.Stats.Cycles != 3 {
-		t.Fatalf("pipeline cycles %d, want 3 (Fig. 8)", st.Stats.Cycles)
+	if res.Cycles != 3 {
+		t.Fatalf("pipeline cycles %d, want 3 (Fig. 8)", res.Cycles)
 	}
 }
 
@@ -146,15 +187,12 @@ func TestSNNCoreIntegrateAndFire(t *testing.T) {
 	if err := core.Program(w, 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	h := newCoreHarness(core)
 	// 0.4 increments: fires on the 3rd step (1.2 ≥ 1).
 	fires := 0
 	fireStep := -1
 	for i := 0; i < 5; i++ {
-		out, err := core.Step([]float64{1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[0] == 1 {
+		if out := h.step(t, []float64{1}); out[0] == 1 {
 			fires++
 			if fireStep < 0 {
 				fireStep = i
@@ -177,16 +215,17 @@ func TestSNNCoreMembranePersistsAcrossIdleSteps(t *testing.T) {
 	if err := core.Program(w, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	core.Step([]float64{1})
-	m1 := core.Membranes()[0]
+	h := newCoreHarness(core)
+	h.step(t, []float64{1})
+	m1 := h.membrane(0)
 	if m1 <= 0 {
 		t.Fatal("no integration")
 	}
 	for i := 0; i < 10; i++ {
-		core.Step([]float64{0}) // no spikes: wall must hold
+		h.step(t, []float64{0}) // no spikes: wall must hold
 	}
-	if core.Membranes()[0] != m1 {
-		t.Fatalf("membrane decayed: %v → %v", m1, core.Membranes()[0])
+	if h.membrane(0) != m1 {
+		t.Fatalf("membrane decayed: %v → %v", m1, h.membrane(0))
 	}
 }
 
@@ -198,10 +237,11 @@ func TestSNNCoreInhibition(t *testing.T) {
 	if err := core.Program(w, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	core.Step([]float64{1, 0})
-	up := core.Membranes()[0]
-	core.Step([]float64{0, 1})
-	down := core.Membranes()[0]
+	h := newCoreHarness(core)
+	h.step(t, []float64{1, 0})
+	up := h.membrane(0)
+	h.step(t, []float64{0, 1})
+	down := h.membrane(0)
 	if down >= up {
 		t.Fatalf("inhibitory input did not lower membrane: %v → %v", up, down)
 	}
@@ -214,6 +254,7 @@ func TestSNNCoreRateTracksInput(t *testing.T) {
 	if err := core.Program(w, 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	h := newCoreHarness(core)
 	r := rng.New(9)
 	const T = 600
 	const rate = 0.3
@@ -223,8 +264,7 @@ func TestSNNCoreRateTracksInput(t *testing.T) {
 		if r.Bernoulli(rate) {
 			in = 1
 		}
-		out, _ := core.Step([]float64{in})
-		spikes += out[0]
+		spikes += h.step(t, []float64{in})[0]
 	}
 	got := spikes / T
 	if math.Abs(got-rate) > 0.05 {

@@ -69,10 +69,8 @@ type stageHW struct {
 	// name is the converted layer's name, the key counter snapshots and
 	// trace events carry.
 	name string
-	// snnCore / annCore hold the crossbars for weighted stages (only one
-	// is populated depending on the run mode).
+	// snnCore holds the crossbars of an in-core weighted stage.
 	snnCore *SNNCore
-	annCore *ANNCore
 	// conv geometry (kind == "conv")
 	kh, kw, stride, pad int
 	inC, outC, groups   int
@@ -151,7 +149,7 @@ func (ch *Chip) buildSNN(c *convert.Converted) ([]*stageHW, error) {
 			// Positions allocated lazily at run time (depends on input size).
 			s := &stageHW{kind: "conv", name: v.Name(), snnCore: core, kh: kh, kw: kw,
 				stride: v.Stride, pad: v.Pad, inC: inC, outC: outC, groups: v.Groups}
-			s.kmProgram = func(positions int) error { return ch.programSNN(core, km, positions) }
+			s.kmProgram = func(positions int) error { return core.program(km, ch.WMax, positions, ch.restore) }
 			s.bias = v.B
 			stages = append(stages, s)
 		case *snn.Dense:
@@ -162,7 +160,7 @@ func (ch *Chip) buildSNN(c *convert.Converted) ([]*stageHW, error) {
 				// routing unit (§IV-B3's Rf > 16M path).
 				sp := NewRUSpillCore(ch.P, ch.coreCfg(), 1.0, ch.split())
 				sp.ADCBits = 8
-				if err := ch.programSpill(sp, km, 1); err != nil {
+				if err := sp.program(km, ch.WMax, 1, ch.restore); err != nil {
 					return nil, err
 				}
 				for _, st := range sp.blocks {
@@ -176,7 +174,7 @@ func (ch *Chip) buildSNN(c *convert.Converted) ([]*stageHW, error) {
 				continue
 			}
 			core := NewSNNCore(ch.P, ch.coreCfg(), 1.0, ch.split())
-			if err := ch.programSNN(core, km, 1); err != nil {
+			if err := core.program(km, ch.WMax, 1, ch.restore); err != nil {
 				return nil, err
 			}
 			if err := ch.prepare(core.ST); err != nil {
@@ -244,30 +242,4 @@ func (ch *Chip) prepare(st *SuperTile) error {
 	}
 	ch.injectFaults(st)
 	return nil
-}
-
-// programSNN routes a spiking core's kernel programming through the
-// restore switch: a restoring chip configures geometry and neuron banks
-// only, leaving the device state to the image loader.
-func (ch *Chip) programSNN(core *SNNCore, km *tensor.Tensor, positions int) error {
-	if ch.restore {
-		return core.configure(km, ch.WMax, positions)
-	}
-	return core.Program(km, ch.WMax, positions)
-}
-
-// programANN is programSNN for continuous cores.
-func (ch *Chip) programANN(core *ANNCore, km *tensor.Tensor) error {
-	if ch.restore {
-		return core.configure(km, ch.WMax)
-	}
-	return core.Program(km, ch.WMax)
-}
-
-// programSpill is programSNN for spill cores.
-func (ch *Chip) programSpill(sp *RUSpillCore, km *tensor.Tensor, positions int) error {
-	if ch.restore {
-		return sp.configure(km, ch.WMax, positions)
-	}
-	return sp.Program(km, ch.WMax, positions)
 }

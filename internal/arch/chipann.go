@@ -49,7 +49,7 @@ func (ch *Chip) buildANNStages(c *convert.Converted, from int) ([]*annStageHW, e
 			}
 			core := NewANNCore(ch.P, ch.coreCfg(), 1.0, ch.split())
 			km := v.W.Reshape(outC, rf).Transpose()
-			if err := ch.programANN(core, km); err != nil {
+			if err := core.ST.load(km, ch.WMax, ch.restore); err != nil {
 				return nil, err
 			}
 			if err := ch.prepare(core.ST); err != nil {
@@ -64,7 +64,7 @@ func (ch *Chip) buildANNStages(c *convert.Converted, from int) ([]*annStageHW, e
 				return nil, fmt.Errorf("arch: stage %s does not fit one core", v.Name())
 			}
 			core := NewANNCore(ch.P, ch.coreCfg(), 1.0, ch.split())
-			if err := ch.programANN(core, km); err != nil {
+			if err := core.ST.load(km, ch.WMax, ch.restore); err != nil {
 				return nil, err
 			}
 			if err := ch.prepare(core.ST); err != nil {

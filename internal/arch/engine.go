@@ -128,14 +128,14 @@ func (s *Session) newRunState() *runState {
 		sr := &stageRun{}
 		switch {
 		case hw.snnCore != nil:
-			sr.neurons = make([]*device.SpikingNeuron, len(hw.snnCore.neurons))
+			sr.neurons = make([]*device.SpikingNeuron, hw.snnCore.kernels*hw.snnCore.positions)
 			for j := range sr.neurons {
 				sr.neurons[j] = device.NewSpikingNeuron(hw.snnCore.ST.P)
 			}
 			sr.sums = make([]float64, hw.snnCore.ST.cols)
 			sr.fire = make([]float64, hw.snnCore.ST.cols)
 		case hw.spill != nil:
-			sr.membranes = make([]float64, len(hw.spill.membranes))
+			sr.membranes = make([]float64, hw.spill.kernels*hw.spill.positions)
 			sr.sums = make([]float64, hw.spill.kernels)
 			sr.total = make([]float64, hw.spill.kernels)
 			sr.fire = make([]float64, hw.spill.kernels)
@@ -250,9 +250,12 @@ func (env *execEnv) evaluate(st *SuperTile, in []float64, act []int, dst []float
 }
 
 // coreStep advances one in-core spiking position by one timestep against
-// the run's private neuron bank, mirroring SNNCore.step cycle for cycle.
-// act is the input spike list (nil: scan); the spike vector returned
-// aliases sr.fire and is valid until the stage's next step.
+// the run's private neuron bank: binary input spikes drive the crossbar,
+// the summed source-line current displaces each position-neuron's domain
+// wall in proportion to its membrane increment, and neurons whose wall
+// reaches the far edge emit a spike and self-reset. act is the input
+// spike list (nil: scan); the spike vector returned aliases sr.fire and
+// is valid until the stage's next step.
 //
 //nebula:hotpath
 func (env *execEnv) coreStep(core *SNNCore, sr *stageRun, pos int, in []float64, act []int, bias []float64, res *RunResult) ([]float64, error) {
@@ -277,7 +280,7 @@ func (env *execEnv) coreStep(core *SNNCore, sr *stageRun, pos int, in []float64,
 	if len(sr.fire) != len(sums) {
 		sr.fire = make([]float64, len(sums))
 	}
-	spikes := integrateBankInto(sr.fire, core.ST.P, core.VTh, bank[pos*core.kernels:(pos+1)*core.kernels], sums)
+	spikes := integrateBankInto(sr.fire, nil, core.ST.P, core.VTh, bank[pos*core.kernels:(pos+1)*core.kernels], sums)
 	res.Spikes += spikes
 	res.Cycles++ // cycle 3: OB → eDRAM
 	res.EDRAMAccesses++
@@ -342,7 +345,7 @@ func (env *execEnv) coreStepEvent(core *SNNCore, sr *stageRun, pos int, in []flo
 		// miss (a scalar after-minus-before delta would round
 		// differently than the original per-array accumulation).
 		sr.lastCross = crossbar.Stats{}
-		if err := core.ST.EvaluateReadPacked(sr.sums, in, pl, env.noise, &sr.lastCross, &sr.sc); err != nil {
+		if err := core.ST.EvaluateReadPacked(sr.sums, in, pl, &sr.lastCross, &sr.sc); err != nil {
 			return nil, err
 		}
 		if useCache {
@@ -373,23 +376,20 @@ func (env *execEnv) coreStepEvent(core *SNNCore, sr *stageRun, pos int, in []flo
 	if len(sr.fire) != len(sums) {
 		sr.fire = make([]float64, len(sums))
 	}
-	var spikes int64
-	if outPl != nil {
-		spikes = integrateBankIntoPlane(sr.fire, outPl, core.ST.P, core.VTh, bank[pos*core.kernels:(pos+1)*core.kernels], sums)
-	} else {
-		spikes = integrateBankInto(sr.fire, core.ST.P, core.VTh, bank[pos*core.kernels:(pos+1)*core.kernels], sums)
-	}
-	res.Spikes += spikes
+	res.Spikes += integrateBankInto(sr.fire, outPl, core.ST.P, core.VTh, bank[pos*core.kernels:(pos+1)*core.kernels], sums)
 	res.Cycles++ // cycle 3: OB → eDRAM
 	res.EDRAMAccesses++
 	return sr.fire, nil
 }
 
 // spillStep advances one spill-stage position against the run's private
-// RU membrane registers, mirroring RUSpillCore.StepAt. The spike vector
-// returned aliases sr.fire. Spill blocks let the kernels rediscover
-// their slice's activity (the per-block row windows would need the
-// spike list re-based anyway).
+// RU membrane registers: every block evaluates its row slice, each
+// partial sum is digitized, the RU reduces them and updates the digital
+// membranes, and threshold crossings emit spikes (reset by subtraction,
+// matching the converted network). The spike vector returned aliases
+// sr.fire. Spill blocks let the kernels rediscover their slice's
+// activity (the per-block row windows would need the spike list
+// re-based anyway).
 //
 //nebula:hotpath
 func (env *execEnv) spillStep(sp *RUSpillCore, sr *stageRun, pos int, in, bias []float64, pl *spikeplane.Plane, res *RunResult) ([]float64, error) {
@@ -432,7 +432,7 @@ func (env *execEnv) spillStep(sp *RUSpillCore, sr *stageRun, pos int, in, bias [
 			if len(sr.sums) != st.cols {
 				sr.sums = make([]float64, st.cols)
 			}
-			if err := st.EvaluateReadPacked(sr.sums, in[lo:hi], &sr.winPlane, env.noise, &env.cross, &sr.sc); err != nil {
+			if err := st.EvaluateReadPacked(sr.sums, in[lo:hi], &sr.winPlane, &env.cross, &sr.sc); err != nil {
 				return nil, err
 			}
 			part = sr.sums
@@ -624,7 +624,7 @@ func poolStep(sr *stageRun, x *tensor.Tensor, k, stride int) {
 func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *spikeplane.Plane, res *RunResult) (*tensor.Tensor, *spikeplane.Plane, error) {
 	switch hw.kind {
 	case "conv":
-		if hw.snnCore.neurons == nil {
+		if hw.snnCore.positions == 0 {
 			return nil, nil, fmt.Errorf("arch: conv stage not programmed (compile with WithInputShape)")
 		}
 		if x.NDim() != 3 || x.Dim(0) != hw.inC {
@@ -818,9 +818,11 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 	return nil, nil, fmt.Errorf("arch: unknown stage kind %q", hw.kind)
 }
 
-// annExec drives a batch of input vectors through an ANN core with the
-// stage bias injected pre-saturation, mirroring ANNCore.Execute without
-// mutating the shared core.
+// annExec drives a batch of input vectors (the im2col columns of one
+// image, values in [0, 1]) through an ANN core, applying the saturating
+// rectification of the non-spiking MTJ neuron (Fig. 2(b)) with the stage
+// bias injected pre-saturation. Pipeline accounting follows Fig. 8:
+// fetch, evaluate, write back.
 func (env *execEnv) annExec(core *ANNCore, inputs [][]float64, bias *tensor.Tensor, res *RunResult) ([][]float64, error) {
 	bd := biasData(bias)
 	out := make([][]float64, len(inputs))

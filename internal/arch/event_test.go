@@ -2,6 +2,7 @@ package arch
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -172,8 +173,9 @@ func (directEnc) Encode(img *tensor.Tensor) *tensor.Tensor { return img.Clone() 
 
 // TestSuperTileEvaluateReadPacked drives a programmed super-tile
 // through the packed and index read paths with the same inputs and
-// requires bitwise-identical column sums, covering sparse, dense,
-// all-zero and noisy planes plus the stale-kernel fallback.
+// requires bitwise-identical column sums, covering sparse, dense and
+// all-zero planes. The packed walk has no fallback: a stale kernel must
+// surface as crossbar.ErrStaleKernel.
 func TestSuperTileEvaluateReadPacked(t *testing.T) {
 	const rf, k = 200, 40 // stack=2 (second window ragged), sets=1
 	r := rng.New(7)
@@ -181,15 +183,15 @@ func TestSuperTileEvaluateReadPacked(t *testing.T) {
 	for i := range w.Data() {
 		w.Data()[i] = r.Float64()*2 - 1
 	}
-	build := func(noise *rng.Rand) *SuperTile {
-		st := NewSuperTile(device.DefaultParams(), crossbar.Config{ReadNoiseSigma: 0}, noise)
+	build := func() *SuperTile {
+		st := NewSuperTile(device.DefaultParams(), crossbar.Config{}, nil)
 		if err := st.Program(w, 1.0); err != nil {
 			t.Fatal(err)
 		}
 		st.Bake()
 		return st
 	}
-	st := build(nil)
+	st := build()
 	mkInput := func(density float64, seed uint64) ([]float64, *spikeplane.Plane) {
 		rr := rng.New(seed)
 		in := make([]float64, rf)
@@ -210,7 +212,7 @@ func TestSuperTileEvaluateReadPacked(t *testing.T) {
 		if err := st.EvaluateReadInto(want, in, nil, nil, nil, &sc); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.EvaluateReadPacked(got, in, pl, nil, nil, &scP); err != nil {
+		if err := st.EvaluateReadPacked(got, in, pl, nil, &scP); err != nil {
 			t.Fatal(err)
 		}
 		for c := range want {
@@ -219,51 +221,34 @@ func TestSuperTileEvaluateReadPacked(t *testing.T) {
 			}
 		}
 	}
-	// Noisy read: identical streams must produce identical sums — the
-	// packed path must not skip silent windows when draws are at stake.
-	stN := NewSuperTile(device.DefaultParams(), crossbar.Config{ReadNoiseSigma: 0.05}, rng.New(3))
-	if err := stN.Program(w, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	stN.Bake()
-	in, pl := mkInput(0.1, 13)
-	want := make([]float64, k)
-	got := make([]float64, k)
-	var sc, scP EvalScratch
-	if err := stN.EvaluateReadInto(want, in, nil, rng.New(99), nil, &sc); err != nil {
-		t.Fatal(err)
-	}
-	if err := stN.EvaluateReadPacked(got, in, pl, rng.New(99), nil, &scP); err != nil {
-		t.Fatal(err)
-	}
-	for c := range want {
-		if want[c] != got[c] {
-			t.Fatalf("noisy col %d: packed %v != index %v", c, got[c], want[c])
-		}
-	}
-	// Stale kernel: invalidate one array and require the transparent
-	// index-path fallback to keep serving identical sums.
-	stale := build(nil)
+	// Stale kernel: invalidate one array and require both read paths to
+	// refuse rather than fall back.
+	stale := build()
 	stale.acs[stale.slotAC[0]].InjectStuckFaults(rng.New(5), 0.01, crossbar.StuckAP)
 	if stale.acs[stale.slotAC[0]].KernelFresh() {
 		t.Fatal("fault injection did not invalidate the kernel")
 	}
 	in2, pl2 := mkInput(0.1, 17)
+	var sc2, scP2 EvalScratch
+	if err := stale.EvaluateReadInto(make([]float64, k), in2, nil, nil, nil, &sc2); !errors.Is(err, crossbar.ErrStaleKernel) {
+		t.Fatalf("stale index read: got %v, want ErrStaleKernel", err)
+	}
+	if err := stale.EvaluateReadPacked(make([]float64, k), in2, pl2, nil, &scP2); !errors.Is(err, crossbar.ErrStaleKernel) {
+		t.Fatalf("stale packed read: got %v, want ErrStaleKernel", err)
+	}
+	// A rebake restores both paths.
+	stale.Bake()
 	want2 := make([]float64, k)
 	got2 := make([]float64, k)
-	var sc2, scP2 EvalScratch
 	if err := stale.EvaluateReadInto(want2, in2, nil, nil, nil, &sc2); err != nil {
 		t.Fatal(err)
 	}
-	if err := stale.EvaluateReadPacked(got2, in2, pl2, nil, nil, &scP2); err != nil {
+	if err := stale.EvaluateReadPacked(got2, in2, pl2, nil, &scP2); err != nil {
 		t.Fatal(err)
 	}
 	for c := range want2 {
 		if want2[c] != got2[c] {
-			t.Fatalf("stale col %d: fallback %v != index %v", c, got2[c], want2[c])
+			t.Fatalf("rebaked col %d: packed %v != index %v", c, got2[c], want2[c])
 		}
-	}
-	if cap(scP2.idx) == 0 {
-		t.Fatal("stale fallback did not materialize plane indices")
 	}
 }

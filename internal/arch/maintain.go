@@ -78,7 +78,9 @@ func (s *Session) Pristine() bool {
 // number of timesteps without running anything — the drift a replica
 // accumulates while idle, or a chaos harness's drift burst. Ageing
 // invalidates the generation stamps, so the session stops being Pristine
-// until the next Scrub. Callers must ensure no run is in flight.
+// until the next Scrub; the aged arrays are rebaked, so runs in between
+// read the drifted conductances. Callers must ensure no run is in
+// flight.
 func (s *Session) AgeRetention(steps int64) {
 	if steps <= 0 {
 		return
@@ -91,14 +93,16 @@ func (s *Session) AgeRetention(steps int64) {
 			s.chip.health.MaxDriftAge = age
 		}
 	})
+	s.bakeKernels()
 }
 
 // InjectStuckFaults strikes every array of the compiled session with
 // fresh permanently stuck devices at the given per-device fraction — the
 // in-service fault onset DW-MTJ devices exhibit under operation, and the
 // stuck-onset storm of the chaos harness. The injection is deterministic
-// for a fixed seed. It returns the number of devices stuck. Callers must
-// ensure no run is in flight.
+// for a fixed seed. It returns the number of devices stuck. Like
+// AgeRetention it leaves the session not Pristine but rebaked. Callers
+// must ensure no run is in flight.
 func (s *Session) InjectStuckFaults(seed uint64, fraction float64, mode crossbar.FaultMode) int {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
@@ -108,6 +112,7 @@ func (s *Session) InjectStuckFaults(seed uint64, fraction float64, mode crossbar
 		n += st.InjectStuckFaults(r.Split(), fraction, mode)
 	})
 	s.chip.health.DevicesFaulted += int64(n)
+	s.bakeKernels()
 	return n
 }
 
@@ -125,7 +130,8 @@ func (s *Session) InjectStuckFaults(seed uint64, fraction float64, mode crossbar
 // fraction exceeds its policy threshold, Scrub returns a
 // *reliability.DegradedError (with the pass report attached): the
 // hardware is past saving and the session must not serve. Cancellation
-// is honoured between super-tiles.
+// is honoured between super-tiles; a cancelled pass still rebakes the
+// kernels of whatever it refreshed, but renews no stamps.
 //
 // Scrub mutates the programmed arrays and must not run concurrently
 // with any Run/RunBatch on the same session; pools hold the replica's
@@ -159,16 +165,14 @@ func (s *Session) Scrub(ctx context.Context) (reliability.Report, error) {
 			rpt.Unmitigated += residual
 		}
 	})
+	// Refreshed arrays are back at their programmed targets (minus
+	// whatever is permanently stuck); freeze them again — a cancelled
+	// pass too, so its partial refresh never leaves a stale kernel.
+	s.bakeKernels()
 	if ctxErr != nil {
 		return rpt, ctxErr
 	}
-
-	// The arrays are back at their programmed targets (minus whatever is
-	// permanently stuck); freeze them again and renew the stamps so the
-	// session is Pristine for the next run.
-	if !s.cfg.noKernel {
-		s.bakeKernels()
-	}
+	// Renew the stamps so the session is Pristine for the next run.
 	s.stampGenerations()
 
 	if s.chip.Rel != nil && rpt.PairsScanned > 0 &&

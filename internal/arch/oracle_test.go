@@ -17,8 +17,11 @@ import (
 // kernel-check, make sparse-check) run the tests that use them.
 
 // withKernelOff compiles the kernel-off oracle: no read kernel is baked,
-// so every MACRead takes the dense reference path.
-func withKernelOff() Option { return func(c *sessionConfig) { c.noKernel = true } }
+// so every MACRead takes the dense reference path. It forces the dense
+// walk too, because the packed walk has no reference form.
+func withKernelOff() Option {
+	return func(c *sessionConfig) { c.noKernel, c.noEvent = true, true }
+}
 
 // withDenseWalk compiles the forced-dense oracle: every timestep takes
 // the dense walk even where the event-driven walk would run.
@@ -107,11 +110,12 @@ func BenchmarkSparseOracle(b *testing.B) {
 }
 
 // BenchmarkKernelOracle times the trained SNN workload with the read
-// kernels off (the dense reference MACRead) and on (production).
+// kernels off (the dense reference MACRead) and on, both on the dense
+// walk so the two differ only in the read.
 func BenchmarkKernelOracle(b *testing.B) {
 	_, te := chipFixture(b)
 	imgs := sessionImages(b, te, 16)
-	opts := []Option{WithMode(ModeSNN), WithTimesteps(40), WithSeed(42)}
+	opts := []Option{WithMode(ModeSNN), WithTimesteps(40), WithSeed(42), withDenseWalk()}
 	b.Run("kernel-off", func(b *testing.B) { benchmarkOracle(b, imgs, append(opts, withKernelOff())...) })
 	b.Run("kernel-on", func(b *testing.B) { benchmarkOracle(b, imgs, opts...) })
 }

@@ -30,18 +30,12 @@ func TestSuperTileRetireRelocatesSlot(t *testing.T) {
 	for i := range in {
 		in[i] = r.Float64()
 	}
-	before, err := st.Evaluate(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := readTile(t, st, in)
 	for round := 0; round < mapping.ACsPerNC-1; round++ {
 		if !st.Retire(0) {
 			t.Fatalf("retirement %d refused with spares left", round)
 		}
-		after, err := st.Evaluate(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		after := readTile(t, st, in)
 		// Reprogramming from stored pair targets round-trips exactly.
 		for c := range after {
 			if after[c] != before[c] {

@@ -180,10 +180,11 @@ type sessionConfig struct {
 	cacheMetrics image.Metrics
 	// noKernel and noEvent select the reference walks the tests compare
 	// the production walk against: noKernel leaves the read kernels
-	// unbaked, so every MACRead takes the dense reference path; noEvent
-	// forces the dense walk where the event-driven one would run. Both
-	// are bitwise identical to production by contract and are set only
-	// by the test oracle, never by an exported option.
+	// unbaked, so every MACRead takes the dense reference path (the
+	// packed walk needs kernels, so the oracle sets noEvent with it);
+	// noEvent forces the dense walk where the event-driven one would
+	// run. Both are bitwise identical to production by contract and are
+	// set only by the test oracle, never by an exported option.
 	noKernel, noEvent bool
 }
 
@@ -418,9 +419,7 @@ func (ch *Chip) compile(model *convert.Converted, cfg sessionConfig) (*Session, 
 // stage hardware must hold its final programmed (or imported) state.
 func (s *Session) finish(healthBefore reliability.Report) error {
 	// Freeze the programmed conductance planes into read kernels.
-	if !s.cfg.noKernel {
-		s.bakeKernels()
-	}
+	s.bakeKernels()
 
 	if !s.cfg.SeedSet {
 		s.cfg.Seed = defaultSessionSeed
@@ -442,24 +441,15 @@ func (s *Session) finish(healthBefore reliability.Report) error {
 }
 
 // bakeKernels freezes every programmed super-tile's conductance planes
-// into flat read kernels (see crossbar.BakeKernel). Compile is the one
-// point where the arrays are final — programmed, BIST-repaired and
-// protected — and no run is in flight, so baking here is race-free.
+// into flat read kernels (see crossbar.BakeKernel): when a compile or
+// load seals the session — the arrays final, programmed, BIST-repaired
+// and protected — and again after every maintenance pass that mutates
+// them, so no read ever meets a stale kernel (it would fail with
+// crossbar.ErrStaleKernel). No run is in flight at either point, so
+// baking is race-free. The kernel-off oracle bakes nothing.
 func (s *Session) bakeKernels() {
-	for _, hw := range s.snnStages {
-		if hw.snnCore != nil {
-			hw.snnCore.ST.Bake()
-		}
-		if hw.spill != nil {
-			for _, st := range hw.spill.blocks {
-				st.Bake()
-			}
-		}
-	}
-	for _, hw := range s.annStages {
-		if hw.core != nil {
-			hw.core.ST.Bake()
-		}
+	if !s.cfg.noKernel {
+		s.forEachSuperTile(func(st *SuperTile) { st.Bake() })
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 // several cores, each core's column currents are digitized (the ADC path
 // of §IV-B3), and the partial sums are reduced and thresholded by digital
 // spike logic at a routing unit — the dashed pipeline stages of Fig. 8.
+// The session engine's spillStep drives it.
 //
 // Unlike the in-core SNNCore, membrane potentials here live in RU
 // registers rather than neuron devices; that is exactly the cost NEBULA's
@@ -28,16 +29,13 @@ type RUSpillCore struct {
 	blocks    []*SuperTile
 	rowBounds []int // block b holds rows [rowBounds[b], rowBounds[b+1])
 	kernels   int
-	// membranes holds per-position, per-kernel RU registers.
-	membranes []float64
+	// positions is the number of time-multiplexed outputs; a run holds
+	// kernels·positions RU membrane registers.
+	positions int
 	// ADCBits quantizes each digitized partial sum (0 disables
 	// quantization; the paper uses 4-bit converters with per-layer
 	// scaling handled by the peripheral circuitry).
 	ADCBits int
-
-	Stats PipelineStats
-	// ADCConversions counts partial-sum digitizations.
-	ADCConversions int64
 
 	noise *rng.Rand
 }
@@ -48,9 +46,17 @@ func NewRUSpillCore(p device.Params, cfg crossbar.Config, vth float64, noise *rn
 }
 
 // Program slices the Rf×K kernel matrix across as many super-tiles as the
-// receptive field requires and allocates RU membrane registers for
+// receptive field requires and sizes the RU membrane registers for
 // `positions` time-multiplexed outputs.
 func (c *RUSpillCore) Program(km *tensor.Tensor, wmax float64, positions int) error {
+	return c.program(km, wmax, positions, false)
+}
+
+// program is Program, or with restore set its restore-path half: the
+// identical row partition and per-block switch geometry, with no device
+// writes — the image loader imports each block's recorded state
+// afterwards.
+func (c *RUSpillCore) program(km *tensor.Tensor, wmax float64, positions int, restore bool) error {
 	if positions < 1 {
 		return fmt.Errorf("arch: positions must be ≥ 1")
 	}
@@ -80,50 +86,13 @@ func (c *RUSpillCore) Program(km *tensor.Tensor, wmax float64, positions int) er
 				sub.Set(km.At(r, col), r-lo, col)
 			}
 		}
-		if err := st.Program(sub, wmax); err != nil {
+		if err := st.load(sub, wmax, restore); err != nil {
 			return err
 		}
 		c.blocks = append(c.blocks, st)
 		c.rowBounds = append(c.rowBounds, hi)
 	}
-	c.kernels = k
-	c.membranes = make([]float64, k*positions)
-	return nil
-}
-
-// configure is the restore-path half of Program: the identical row
-// partition and per-block switch geometry, with no device writes — the
-// image loader imports each block's recorded state afterwards.
-func (c *RUSpillCore) configure(km *tensor.Tensor, wmax float64, positions int) error {
-	if positions < 1 {
-		return fmt.Errorf("arch: positions must be ≥ 1")
-	}
-	rf, k := km.Dim(0), km.Dim(1)
-	sets := (k + mapping.M - 1) / mapping.M
-	if sets > mapping.ACsPerNC {
-		return fmt.Errorf("arch: %d kernels exceed one core's column capacity; column spill is not supported by the chip runner", k)
-	}
-	maxStack := mapping.ACsPerNC / sets
-	blockRows := maxStack * mapping.M
-	if blockRows > mapping.MaxRowsPerNC {
-		blockRows = mapping.MaxRowsPerNC
-	}
-	c.blocks = nil
-	c.rowBounds = []int{0}
-	for lo := 0; lo < rf; lo += blockRows {
-		hi := lo + blockRows
-		if hi > rf {
-			hi = rf
-		}
-		st := NewSuperTile(c.P, c.Cfg, c.splitNoise())
-		if err := st.Configure(hi-lo, k, wmax); err != nil {
-			return err
-		}
-		c.blocks = append(c.blocks, st)
-		c.rowBounds = append(c.rowBounds, hi)
-	}
-	c.kernels = k
-	c.membranes = make([]float64, k*positions)
+	c.kernels, c.positions = k, positions
 	return nil
 }
 
@@ -136,65 +105,6 @@ func (c *RUSpillCore) splitNoise() *rng.Rand {
 
 // Blocks returns the number of spilled cores.
 func (c *RUSpillCore) Blocks() int { return len(c.blocks) }
-
-// Reset clears the RU membrane registers and counters.
-func (c *RUSpillCore) Reset() {
-	for i := range c.membranes {
-		c.membranes[i] = 0
-	}
-	c.Stats = PipelineStats{}
-	c.ADCConversions = 0
-}
-
-// StepAt advances one timestep at output position pos: every block
-// evaluates its row slice, each partial sum is digitized, the RU reduces
-// them and updates the digital membranes, and threshold crossings emit
-// spikes (reset by subtraction, matching the converted network).
-func (c *RUSpillCore) StepAt(pos int, spikes []float64, bias []float64) ([]float64, error) {
-	if c.blocks == nil {
-		return nil, fmt.Errorf("arch: spill core not programmed")
-	}
-	if (pos+1)*c.kernels > len(c.membranes) {
-		return nil, fmt.Errorf("arch: position %d beyond allocated registers", pos)
-	}
-	if len(spikes) != c.rowBounds[len(c.rowBounds)-1] {
-		return nil, fmt.Errorf("arch: input length %d, want %d", len(spikes), c.rowBounds[len(c.rowBounds)-1])
-	}
-	c.Stats.Cycles++ // fetch
-	c.Stats.EDRAMReads++
-	total := make([]float64, c.kernels)
-	for b, st := range c.blocks {
-		part, err := st.Evaluate(spikes[c.rowBounds[b]:c.rowBounds[b+1]])
-		if err != nil {
-			return nil, err
-		}
-		// Digitize the block's partial sums (one conversion per kernel).
-		for kIdx, v := range part {
-			total[kIdx] += c.quantizePartial(v)
-		}
-		c.ADCConversions += int64(c.kernels)
-		c.Stats.Cycles++ // one digitization cycle per block (≤128/cycle)
-	}
-	c.Stats.Evaluations++
-	c.Stats.Cycles++ // reduce + activate at the RU
-	bank := c.membranes[pos*c.kernels : (pos+1)*c.kernels]
-	out := make([]float64, c.kernels)
-	for kIdx := range bank {
-		inc := total[kIdx]
-		if bias != nil && kIdx < len(bias) {
-			inc += bias[kIdx]
-		}
-		bank[kIdx] += inc
-		if bank[kIdx] >= c.VTh {
-			out[kIdx] = 1
-			bank[kIdx] -= c.VTh
-			c.Stats.Spikes++
-		}
-	}
-	c.Stats.Cycles++ // write back
-	c.Stats.EDRAMWrites++
-	return out, nil
-}
 
 // quantizePartial models the 4-bit digitization of a partial sum: the
 // converter covers ±1 in weight-normalized units with 2^bits levels.

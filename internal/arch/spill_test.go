@@ -13,6 +13,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/snn"
+	"repro/internal/spikeplane"
 	"repro/internal/tensor"
 )
 
@@ -46,8 +47,10 @@ func TestRUSpillCoreRejectsColumnSpill(t *testing.T) {
 }
 
 func TestRUSpillCoreMatchesInCoreDynamics(t *testing.T) {
-	// A spill core with quantization disabled must reproduce the in-core
-	// SNN dynamics on a kernel that happens to fit both.
+	// A spill core with quantization disabled, stepped by the session
+	// engine's spillStep on both the dense walk and the packed walk, must
+	// reproduce the in-core SNN dynamics on a kernel that happens to fit
+	// both.
 	r := rng.New(4)
 	const rf, k = 2100, 32 // forces 2 blocks in the spill core
 	km := tensor.New(rf, k)
@@ -62,6 +65,14 @@ func TestRUSpillCoreMatchesInCoreDynamics(t *testing.T) {
 	if err := sp.Program(km, 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	for _, st := range sp.blocks {
+		st.Bake()
+	}
+	// One run's RU registers per walk, laid out as a session run would.
+	sess := &Session{snnStages: []*stageHW{{kind: "dense", spill: sp}}}
+	dense, packed := sess.newRunState().stages[0], sess.newRunState().stages[0]
+	envDense, envPacked := &execEnv{}, &execEnv{event: true}
+	var resDense, resPacked RunResult
 
 	// Software reference with identical device quantization: use the
 	// crossbar-quantized weights.
@@ -74,19 +85,30 @@ func TestRUSpillCoreMatchesInCoreDynamics(t *testing.T) {
 				in[i] = 1
 			}
 		}
-		hw, err := sp.StepAt(0, in, nil)
+		var pl spikeplane.Plane
+		pl.Pack(in)
+		hwDense, err := envDense.spillStep(sp, dense, 0, in, nil, nil, &resDense)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hwPacked, err := envPacked.spillStep(sp, packed, 0, in, nil, &pl, &resPacked)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sw := ref.Step(tensor.FromSlice(append([]float64(nil), in...), rf))
 		for kIdx := 0; kIdx < k; kIdx++ {
-			if hw[kIdx] != sw.Data()[kIdx] {
-				t.Fatalf("step %d kernel %d: hw %v vs sw %v", step, kIdx, hw[kIdx], sw.Data()[kIdx])
+			if hwDense[kIdx] != sw.Data()[kIdx] || hwPacked[kIdx] != sw.Data()[kIdx] {
+				t.Fatalf("step %d kernel %d: dense %v, packed %v vs sw %v",
+					step, kIdx, hwDense[kIdx], hwPacked[kIdx], sw.Data()[kIdx])
 			}
 		}
 	}
-	if sp.ADCConversions == 0 {
-		t.Fatal("spill path recorded no conversions")
+	if resDense.ADCConversions == 0 || resPacked.ADCConversions == 0 {
+		t.Fatalf("spill path recorded no conversions: dense %d, packed %d",
+			resDense.ADCConversions, resPacked.ADCConversions)
+	}
+	if resPacked.PackedWords == 0 {
+		t.Fatal("packed walk never engaged")
 	}
 }
 

@@ -67,25 +67,13 @@ func (st *SuperTile) Program(w *tensor.Tensor, wmax float64) error {
 		return fmt.Errorf("arch: kernel matrix must be 2-D, got %v", w.Shape())
 	}
 	rf, k := w.Dim(0), w.Dim(1)
-	if rf > mapping.MaxRowsPerNC {
-		return fmt.Errorf("arch: Rf %d exceeds super-tile capacity %d", rf, mapping.MaxRowsPerNC)
+	if err := st.Configure(rf, k, wmax); err != nil {
+		return err
 	}
-	stack := (rf + mapping.M - 1) / mapping.M
-	sets := (k + mapping.M - 1) / mapping.M
-	if stack*sets > mapping.ACsPerNC {
-		return fmt.Errorf("arch: layer needs %d ACs, super-tile has %d", stack*sets, mapping.ACsPerNC)
-	}
-	st.stack, st.sets, st.rows, st.cols, st.wmax = stack, sets, rf, k, wmax
-	st.slotAC = make([]int, stack*sets)
-	for i := range st.slotAC {
-		st.slotAC[i] = i
-	}
-	st.retired = make([]bool, len(st.acs))
-
-	for s := 0; s < sets; s++ {
+	for s := 0; s < st.sets; s++ {
 		colLo := s * mapping.M
 		colHi := min(colLo+mapping.M, k)
-		for h := 0; h < stack; h++ {
+		for h := 0; h < st.stack; h++ {
 			rowLo := h * mapping.M
 			rowHi := min(rowLo+mapping.M, rf)
 			sub := tensor.New(mapping.M, mapping.M)
@@ -124,6 +112,15 @@ func (st *SuperTile) Configure(rf, k int, wmax float64) error {
 	}
 	st.retired = make([]bool, len(st.acs))
 	return nil
+}
+
+// load is Program, or on a restoring chip Configure: the restore path
+// differs from programming only in skipping the device writes.
+func (st *SuperTile) load(w *tensor.Tensor, wmax float64, restore bool) error {
+	if restore {
+		return st.Configure(w.Dim(0), w.Dim(1), wmax)
+	}
+	return st.Program(w, wmax)
 }
 
 // importSlots restores the slot→array routing and retirement flags
@@ -236,36 +233,6 @@ func (st *SuperTile) NULevel() mapping.NULevel {
 	}
 }
 
-// Evaluate drives one input vector (length Rf, values in [0, 1]) through
-// the configured arrays and returns the K column dot products, aggregated
-// across the stack by Kirchhoff current summation — no digitization.
-//
-// Evaluate models wear on the constituent arrays (read disturb, shared
-// activity counters) and must not be called concurrently; the session
-// engine's frozen-conductance path uses EvaluateRead.
-func (st *SuperTile) Evaluate(input []float64) ([]float64, error) {
-	return st.evaluate(input, func(ac *crossbar.Crossbar, in []float64) ([]float64, error) {
-		return ac.MAC(in)
-	})
-}
-
-// EvaluateRead is Evaluate through the wear-free crossbar read path:
-// noise draws come from the caller's stream and activity lands in the
-// caller's stats, so concurrent goroutines may evaluate one programmed
-// super-tile as long as nothing reprograms, retires, ticks or refreshes
-// it meanwhile.
-func (st *SuperTile) EvaluateRead(input []float64, noise *rng.Rand, stats *crossbar.Stats) ([]float64, error) {
-	if st.stack == 0 {
-		return nil, fmt.Errorf("arch: super-tile not programmed")
-	}
-	out := make([]float64, st.cols)
-	var sc EvalScratch
-	if err := st.EvaluateReadInto(out, input, nil, noise, stats, &sc); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // GenSum folds the generation stamps of the configured arrays (through
 // the retirement indirection) into one fingerprint. Any mutation of
 // read-visible state — reprogramming, fault injection, retention
@@ -283,9 +250,11 @@ func (st *SuperTile) GenSum() uint64 {
 }
 
 // Bake freezes the read kernel of every configured array (crossbar
-// BakeKernel), switching EvaluateRead/EvaluateReadInto onto the
-// event-driven fast path. Call it when the session's conductances
-// freeze; results are bitwise identical with or without the bake.
+// BakeKernel), switching EvaluateReadInto onto the event-driven fast
+// path and enabling EvaluateReadPacked. Call it when the session's
+// conductances freeze, and again after every mutation: a baked array
+// whose kernel falls stale fails reads with crossbar.ErrStaleKernel.
+// Results are bitwise identical with or without the bake.
 func (st *SuperTile) Bake() {
 	for slot := 0; slot < st.stack*st.sets; slot++ {
 		st.acs[st.slotAC[slot]].BakeKernel()
@@ -303,12 +272,20 @@ type EvalScratch struct {
 	part   []float64 // per-AC partial dot products
 	actBuf []int     // window-local active rows, grouped by height
 	hOff   []int     // actBuf offsets: height h owns [hOff[h], hOff[h+1])
-	idx    []int     // materialized plane indices for the packed-path fallback
 }
 
-// EvaluateReadInto is EvaluateRead writing the K column sums into a
-// caller-provided buffer of length K, gathering the active-row list
-// once per call instead of once per atomic crossbar.
+// EvaluateReadInto drives one input vector (length Rf, values in
+// [0, 1]) through the configured arrays and writes the K column dot
+// products into a caller-provided buffer of length K, aggregated across
+// the stack by Kirchhoff current summation — no digitization. The
+// active-row list is gathered once per call instead of once per atomic
+// crossbar.
+//
+// The read mutates nothing: noise draws come from the caller's stream
+// and activity lands in the caller's stats, so concurrent goroutines may
+// evaluate one programmed super-tile as long as nothing reprograms,
+// retires, ticks or refreshes it meanwhile. A baked array with a stale
+// kernel fails the read with crossbar.ErrStaleKernel.
 //
 // active, when non-nil, must list exactly the indices of the non-zero
 // input entries in increasing order — the previous layer's spike list.
@@ -393,8 +370,10 @@ func (st *SuperTile) EvaluateReadInto(dst, input []float64, active []int, noise 
 // unpadded row window, and only the mapped columns of each set are
 // computed (MACReadPacked's trimmed contract).
 //
-// Two event-driven deviations from the dense walk, both gated on
-// noise being nil so the RNG stream is untouched:
+// The packed walk is defined only for noiseless reads, so it takes no
+// noise stream: trimmed columns and skipped windows would draw fewer
+// noise values and shift the stream for every later array. Two
+// event-driven deviations from the dense walk follow:
 //
 //   - a stack-height window with no active bits skips its AC read
 //     entirely — no MAC is issued, so stats count fewer MACs than the
@@ -404,14 +383,12 @@ func (st *SuperTile) EvaluateReadInto(dst, input []float64, active []int, noise 
 //     only (see MACReadPacked).
 //
 // Column sums for the mapped columns remain bitwise identical to
-// EvaluateReadInto. Noisy reads (non-nil noise) and stale kernels fall
-// back transparently to the index path, materializing the plane's
-// indices into the scratch: trimmed columns draw fewer noise values
-// per array, which would shift the stream for every later array in
-// the stack, so the packed walk is only defined for noiseless reads.
+// EvaluateReadInto. The packed walk has no fallback: every live array
+// must carry a fresh kernel, and an unbaked or stale one fails the read
+// with crossbar.ErrStaleKernel.
 //
 //nebula:hotpath
-func (st *SuperTile) EvaluateReadPacked(dst, input []float64, plane *spikeplane.Plane, noise *rng.Rand, stats *crossbar.Stats, sc *EvalScratch) error {
+func (st *SuperTile) EvaluateReadPacked(dst, input []float64, plane *spikeplane.Plane, stats *crossbar.Stats, sc *EvalScratch) error {
 	if st.stack == 0 {
 		return fmt.Errorf("arch: super-tile not programmed")
 	}
@@ -423,19 +400,6 @@ func (st *SuperTile) EvaluateReadPacked(dst, input []float64, plane *spikeplane.
 	}
 	if plane.Len() != st.rows {
 		return fmt.Errorf("arch: plane length %d, want Rf %d", plane.Len(), st.rows)
-	}
-	if noise != nil {
-		sc.idx = plane.AppendIndices(sc.idx[:0])
-		return st.EvaluateReadInto(dst, input, sc.idx, noise, stats, sc)
-	}
-	for slot := 0; slot < st.stack*st.sets; slot++ {
-		if !st.acs[st.slotAC[slot]].KernelFresh() {
-			// Stale kernel: the packed fast path cannot serve this read;
-			// fall back to the index path, which has its own dense
-			// fallback per array.
-			sc.idx = plane.AppendIndices(sc.idx[:0])
-			return st.EvaluateReadInto(dst, input, sc.idx, noise, stats, sc)
-		}
 	}
 	if len(sc.part) != mapping.M {
 		sc.part = make([]float64, mapping.M)
@@ -453,11 +417,11 @@ func (st *SuperTile) EvaluateReadPacked(dst, input []float64, plane *spikeplane.
 			rowHi := min(rowLo+mapping.M, st.rows)
 			win := spikeplane.Window(words, rowLo, rowHi, nil)
 			if spikeplane.IsZeroWords(win) {
-				// Silent window: no read current, no MAC (noise is nil
-				// past the fallback above, so no draw is skipped).
+				// Silent window: no read current, no MAC (and, the walk
+				// being noiseless, no draw skipped).
 				continue
 			}
-			if err := st.ac(s, h).MACReadPacked(part, input[rowLo:rowHi], win, noise, stats); err != nil {
+			if err := st.ac(s, h).MACReadPacked(part, input[rowLo:rowHi], win, nil, stats); err != nil {
 				return err
 			}
 			// SL current summation: partial dot products add in the
@@ -468,41 +432,6 @@ func (st *SuperTile) EvaluateReadPacked(dst, input []float64, plane *spikeplane.
 		}
 	}
 	return nil
-}
-
-// evaluate is the stack/set aggregation shared by Evaluate and
-// EvaluateRead; mac performs one atomic-crossbar dot product.
-func (st *SuperTile) evaluate(input []float64, mac func(*crossbar.Crossbar, []float64) ([]float64, error)) ([]float64, error) {
-	if st.stack == 0 {
-		return nil, fmt.Errorf("arch: super-tile not programmed")
-	}
-	if len(input) != st.rows {
-		return nil, fmt.Errorf("arch: input length %d, want Rf %d", len(input), st.rows)
-	}
-	out := make([]float64, st.cols)
-	slice := make([]float64, mapping.M)
-	for s := 0; s < st.sets; s++ {
-		colLo := s * mapping.M
-		colHi := min(colLo+mapping.M, st.cols)
-		for h := 0; h < st.stack; h++ {
-			rowLo := h * mapping.M
-			rowHi := min(rowLo+mapping.M, st.rows)
-			for i := range slice {
-				slice[i] = 0
-			}
-			copy(slice, input[rowLo:rowHi])
-			part, err := mac(st.ac(s, h), slice)
-			if err != nil {
-				return nil, err
-			}
-			// SL current summation: partial dot products add in the
-			// current domain across the vertical stack (§IV-B3).
-			for c := colLo; c < colHi; c++ {
-				out[c] += part[c-colLo]
-			}
-		}
-	}
-	return out, nil
 }
 
 // Utilization reports the synapse utilization of the configured layer.

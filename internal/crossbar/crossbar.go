@@ -12,9 +12,13 @@
 //
 // The array also carries the device-level reliability model consumed by
 // package reliability: persistent per-device fault records (stuck and
-// weak devices survive reprogramming), dead row/column lines, read
-// disturb, retention drift, and spare lines reachable through a logical→
-// physical line indirection. See faults.go.
+// weak devices survive reprogramming), dead row/column lines, retention
+// drift, and spare lines reachable through a logical→physical line
+// indirection. See faults.go.
+//
+// A read is a non-destructive current sum: MACRead/MACReadInto/
+// MACReadPacked never touch device state. Only programming, fault
+// injection, repair and the retention clock change what a read returns.
 package crossbar
 
 import (
@@ -28,7 +32,7 @@ import (
 
 // Stats accumulates activity statistics used by the energy model.
 type Stats struct {
-	// MACs counts crossbar evaluations (one per Step over all columns).
+	// MACs counts crossbar reads (one per array read over all columns).
 	MACs int64
 	// ActiveRowSum accumulates the number of driven rows per evaluation.
 	ActiveRowSum int64
@@ -67,11 +71,6 @@ type Config struct {
 	// for dead-line remapping by the reliability layer. Zero disables
 	// sparing and keeps the array purely logical.
 	SpareRows, SpareCols int
-	// ReadDisturbProb is the per-device per-evaluation probability that a
-	// read pulse nudges a stored domain wall one pinning site toward AP
-	// (a transient retention upset). Requires a noise generator; zero
-	// disables the effect.
-	ReadDisturbProb float64
 	// DriftTauSteps is the retention time constant in elapsed timesteps
 	// (advanced by Tick): read currents decay by exp(-age/τ) as the
 	// programmed walls relax toward their unpinned rest state. Zero
@@ -115,16 +114,18 @@ type Crossbar struct {
 
 	// wmax maps level States-1 to weight magnitude wmax.
 	wmax float64
-	// stats accumulates activity counters; readers fold deltas into
-	// their own Stats, so the shared counters never feed a read result.
+	// stats accumulates the programming energy; reads fold their
+	// activity into the caller's Stats instead.
 	//nebula:genstamp-exempt activity accounting, not read-visible state
 	stats Stats
+	// noise draws the programming variation of Program; reads take the
+	// caller's stream.
 	noise *rng.Rand
 
 	// gen counts mutations of the read-visible state (levels, line maps,
 	// dead lines, retention clock); kern is the frozen read kernel baked
 	// against one generation. A kernel whose generation falls behind is
-	// stale and the read path falls back to the dense walk. See kernel.go.
+	// stale and reads refuse with ErrStaleKernel. See kernel.go.
 	gen uint64
 	//nebula:genstamp-exempt the kernel is the cache keyed by gen, not the state it caches
 	kern *readKernel
@@ -222,38 +223,21 @@ func (c *Crossbar) EffectiveWeight(row, col int) float64 {
 	return float64(c.levelPlus[i]-c.levelMinus[i]) / float64(states-1) * c.wmax
 }
 
-// MAC drives the rows with input levels in [0, 1] (bit-line voltage as a
-// fraction of VRead) and returns the per-column dot products in weight
-// units, as thresholded by the neuron units. Column read currents are
-// derived from the device conductances, so quantization, IR drop, read
-// noise, dead lines, retention drift and read disturb all act on the
-// result.
+// MACRead drives the rows with input levels in [0, 1] (bit-line voltage
+// as a fraction of VRead) and returns the per-column dot products in
+// weight units, as thresholded by the neuron units. Column read currents
+// are derived from the device conductances, so quantization, IR drop,
+// read noise, dead lines and retention drift all act on the result.
 //
-// MAC models wear: every call may disturb stored walls and mutates the
-// array's shared activity counters, so it must not be called concurrently.
-// Sessions that freeze the programmed conductances use MACRead instead.
-func (c *Crossbar) MAC(input []float64) ([]float64, error) {
-	out, active, currentSum, err := c.macCompute(input, c.noise)
-	if err != nil {
-		return nil, err
-	}
-	c.applyReadDisturb(active)
-	c.stats.MACs++
-	c.stats.ActiveRowSum += int64(active)
-	c.stats.OutputCurrentUA += currentSum
-	return out, nil
-}
-
-// MACRead evaluates the same analog dot product as MAC without the wear
-// side effects: no read disturb, no retention-clock interaction, and no
-// mutation of the array's shared counters. Read-noise draws come from the
-// caller's stream (nil disables noise) and activity is accumulated into
-// the caller's stats (nil discards it), so any number of goroutines may
-// call MACRead against the same programmed array concurrently, as long as
+// The read mutates nothing: read-noise draws come from the caller's
+// stream (nil disables noise) and activity is accumulated into the
+// caller's stats (nil discards it), so any number of goroutines may call
+// MACRead against the same programmed array concurrently, as long as
 // nothing reprograms, ticks or injects faults into it meanwhile.
 //
-// When a fresh kernel is baked (BakeKernel) the evaluation takes the
-// event-driven fast path; results are bitwise identical either way.
+// An array that was never baked reads through the dense reference walk;
+// a baked array reads through its kernel, or fails with ErrStaleKernel
+// once a mutation has outdated it (see MACReadInto).
 func (c *Crossbar) MACRead(input []float64, noise *rng.Rand, stats *Stats) ([]float64, error) {
 	out := make([]float64, c.Cols)
 	if err := c.MACReadInto(out, input, nil, noise, stats); err != nil {
@@ -262,21 +246,10 @@ func (c *Crossbar) MACRead(input []float64, noise *rng.Rand, stats *Stats) ([]fl
 	return out, nil
 }
 
-// macCompute is the dense analog evaluation shared by MAC and the
-// kernel-free read path. It reads only programmed state (levels, line
-// maps, age) and the supplied noise stream, never the receiver's mutable
-// wear state.
-func (c *Crossbar) macCompute(input []float64, noise *rng.Rand) (out []float64, active int, currentSum float64, err error) {
-	out = make([]float64, c.Cols)
-	active, currentSum, err = c.macComputeInto(out, input, noise)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return out, active, currentSum, nil
-}
-
-// macComputeInto is macCompute writing into a caller-provided buffer of
-// length Cols. Every element of dst is assigned.
+// macComputeInto is the dense reference walk of an unbaked array,
+// writing into a caller-provided buffer of length Cols. It reads only
+// programmed state (levels, line maps, age) and the supplied noise
+// stream. Every element of dst is assigned.
 func (c *Crossbar) macComputeInto(dst, input []float64, noise *rng.Rand) (active int, currentSum float64, err error) {
 	if len(input) != c.Rows {
 		return 0, 0, fmt.Errorf("crossbar: input length %d, want %d rows", len(input), c.Rows)
@@ -333,11 +306,9 @@ func (c *Crossbar) macComputeInto(dst, input []float64, noise *rng.Rand) (active
 	return active, currentSum, nil
 }
 
-// Stats returns a copy of the accumulated activity counters.
+// Stats returns a copy of the array's own counters: the programming
+// energy spent on it. Read activity lands in the readers' Stats.
 func (c *Crossbar) Stats() Stats { return c.stats }
-
-// ResetStats clears the activity counters (not the programmed weights).
-func (c *Crossbar) ResetStats() { c.stats = Stats{} }
 
 // Utilization returns the fraction of synapses with a non-zero programmed
 // level, the quantity behind the paper's morphable-tile motivation.

@@ -52,7 +52,7 @@ func TestMACMatchesIdealWithinQuantization(t *testing.T) {
 	for i := range x {
 		x[i] = r.Float64()
 	}
-	got, err := cb.MAC(x)
+	got, err := cb.MACRead(x, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestMACExactOnGridWeights(t *testing.T) {
 	if err := cb.Program(w, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cb.MAC([]float64{1, 1})
+	got, err := cb.MACRead([]float64{1, 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestNegativeWeightUsesMinusDevice(t *testing.T) {
 	if got := cb.EffectiveWeight(0, 0); got != -1 {
 		t.Fatalf("effective weight %v, want -1", got)
 	}
-	out, _ := cb.MAC([]float64{1})
+	out, _ := cb.MACRead([]float64{1}, nil, nil)
 	if out[0] != -1 {
 		t.Fatalf("MAC with negative weight: %v", out[0])
 	}
@@ -123,8 +123,10 @@ func TestZeroInputRowsInactive(t *testing.T) {
 	if err := cb.Program(w, 1); err != nil {
 		t.Fatal(err)
 	}
-	cb.MAC([]float64{0, 0, 1, 0})
-	s := cb.Stats()
+	var s Stats
+	if _, err := cb.MACRead([]float64{0, 0, 1, 0}, nil, &s); err != nil {
+		t.Fatal(err)
+	}
 	if s.ActiveRowSum != 1 {
 		t.Fatalf("active rows %d, want 1", s.ActiveRowSum)
 	}
@@ -141,15 +143,15 @@ func TestIRDropAttenuates(t *testing.T) {
 	clean.Program(w, 1)
 	droopy.Program(w, 1)
 	x := []float64{1, 1, 1, 1, 1, 1, 1, 1}
-	a, _ := clean.MAC(x)
-	b, _ := droopy.MAC(x)
+	a, _ := clean.MACRead(x, nil, nil)
+	b, _ := droopy.MACRead(x, nil, nil)
 	if b[0] >= a[0] {
 		t.Fatalf("IR drop did not attenuate: %v vs %v", b[0], a[0])
 	}
 	// Fewer active rows → less droop (relative attenuation closer to 1).
 	xSparse := []float64{1, 0, 0, 0, 0, 0, 0, 0}
-	aS, _ := clean.MAC(xSparse)
-	bS, _ := droopy.MAC(xSparse)
+	aS, _ := clean.MACRead(xSparse, nil, nil)
+	bS, _ := droopy.MACRead(xSparse, nil, nil)
 	if bS[0]/aS[0] <= b[0]/a[0] {
 		t.Fatalf("sparse input should droop less: %v vs %v", bS[0]/aS[0], b[0]/a[0])
 	}
@@ -158,11 +160,12 @@ func TestIRDropAttenuates(t *testing.T) {
 func TestReadNoisePerturbs(t *testing.T) {
 	p := device.DefaultParams()
 	w := tensor.New(4, 1).Fill(0.5)
-	cb := New(4, 1, p, Config{ReadNoiseSigma: 0.05}, rng.New(3))
+	cb := New(4, 1, p, Config{ReadNoiseSigma: 0.05}, nil)
 	cb.Program(w, 1)
 	x := []float64{1, 1, 1, 1}
-	a, _ := cb.MAC(x)
-	b, _ := cb.MAC(x)
+	noise := rng.New(3)
+	a, _ := cb.MACRead(x, noise, nil)
+	b, _ := cb.MACRead(x, noise, nil)
 	if a[0] == b[0] {
 		t.Fatal("noisy MAC returned identical results")
 	}
@@ -204,7 +207,7 @@ func TestUtilization(t *testing.T) {
 
 func TestMACInputLengthCheck(t *testing.T) {
 	cb := New(4, 2, device.DefaultParams(), Config{}, nil)
-	if _, err := cb.MAC([]float64{1}); err == nil {
+	if _, err := cb.MACRead([]float64{1}, nil, nil); err == nil {
 		t.Fatal("short input accepted")
 	}
 }
@@ -220,7 +223,7 @@ func BenchmarkMAC128(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cb.MAC(x)
+		cb.MACRead(x, nil, nil)
 	}
 }
 
@@ -285,7 +288,7 @@ func TestInjectStuckFaults(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	out, err := cb.MAC(x)
+	out, err := cb.MACRead(x, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +311,7 @@ func TestStuckPBiasesPositive(t *testing.T) {
 	cb.Program(tensor.New(8, 1), 1) // all-zero weights
 	cb.InjectStuckFaults(rng.New(5), 1.0, StuckP)
 	// All plus and minus devices stuck at max → differential cancels.
-	out, _ := cb.MAC([]float64{1, 1, 1, 1, 1, 1, 1, 1})
+	out, _ := cb.MACRead([]float64{1, 1, 1, 1, 1, 1, 1, 1}, nil, nil)
 	if out[0] != 0 {
 		t.Fatalf("fully symmetric stuck-P should cancel: %v", out[0])
 	}

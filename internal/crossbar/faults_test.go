@@ -31,7 +31,7 @@ func TestStuckAPPairCancelsExactly(t *testing.T) {
 		// Drive only the faulted row: the faulted column must read 0.
 		x := make([]float64, rows)
 		x[row] = 1
-		out, err := cb.MAC(x)
+		out, err := cb.MACRead(x, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestStuckPContributesFullScale(t *testing.T) {
 		}
 		x := make([]float64, rows)
 		x[row] = 1
-		out, err := cb.MAC(x)
+		out, err := cb.MACRead(x, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,12 +232,12 @@ func TestRetentionDriftAndRefresh(t *testing.T) {
 	if err := cb.Program(w, 1); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := cb.MAC([]float64{1, 1})
+	fresh, err := cb.MACRead([]float64{1, 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cb.Tick(100)
-	aged, err := cb.MAC([]float64{1, 1})
+	aged, err := cb.MACRead([]float64{1, 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRetentionDriftAndRefresh(t *testing.T) {
 	if cb.Age() != 0 {
 		t.Fatalf("refresh did not reset age: %d", cb.Age())
 	}
-	restored, err := cb.MAC([]float64{1, 1})
+	restored, err := cb.MACRead([]float64{1, 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

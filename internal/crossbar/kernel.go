@@ -12,7 +12,7 @@ import (
 // This file is the frozen read kernel of the session fast path. Once a
 // session compiles (programming, fault injection, BIST/protect all
 // done), the conductance planes are immutable for the life of the
-// session, so everything macCompute re-derives per read — the rowMap/
+// session, so everything the dense walk re-derives per read — the rowMap/
 // colMap line indirection, the level⁺−level⁻ differential, the ΔG
 // scale, the dead-line masks — can be baked once into a flat row-major
 // term plane. MACReadInto then runs an event-driven axpy over only the
@@ -20,12 +20,17 @@ import (
 // O(Rows·Cols) pointer-chasing.
 //
 // The kernel is a pure cache: every result it produces is bitwise
-// identical to the dense macCompute path (enforced by the differential
-// fuzz tests in kernel_test.go), and a generation stamp invalidates it
-// the moment any mutator touches levels, maps, dead lines or the
-// retention clock. A stale kernel is never rebaked implicitly — reads
-// may run on many goroutines, so the fast path silently falls back to
-// the dense walk until the owner bakes again.
+// identical to the dense walk (enforced by the differential fuzz tests
+// in kernel_test.go), and a generation stamp invalidates it the moment
+// any mutator touches levels, maps, dead lines or the retention clock.
+// One rule decides how an array reads:
+//
+//   - never baked: the dense reference walk (unit tests, the kernel-off
+//     oracle and DropKernel are the only ways to get here);
+//   - baked and fresh: the kernel;
+//   - baked and stale: ErrStaleKernel. A stale kernel is never rebaked
+//     implicitly — reads may run on many goroutines — so whoever mutates
+//     a baked array rebakes it before the next read.
 
 // readKernel is the baked read-path cache of one crossbar.
 type readKernel struct {
@@ -46,7 +51,8 @@ type readKernel struct {
 	// word-AND instead of a per-index branch.
 	rowLive []uint64
 	// fullScale is the hoisted output divisor VRead·(States−1)·ΔG; it is
-	// the same deterministic expression macCompute evaluates per column.
+	// the same deterministic expression the dense walk evaluates per
+	// column.
 	fullScale float64
 }
 
@@ -54,8 +60,9 @@ type readKernel struct {
 // programmed state. Call it when the conductances freeze — after
 // programming, fault injection and repair are done — and again after any
 // deliberate mutation. Baking never changes read results; it only makes
-// MACRead/MACReadInto take the sparse fast path while the kernel stays
-// fresh.
+// MACRead/MACReadInto take the sparse fast path. Once baked, an array
+// must be rebaked after every mutation: a stale kernel fails reads with
+// ErrStaleKernel.
 func (c *Crossbar) BakeKernel() {
 	states := c.P.States()
 	deltaG := (c.P.GParallelUS - c.P.GAntiParallelUS) / float64(states-1)
@@ -91,12 +98,13 @@ func (c *Crossbar) BakeKernel() {
 
 // KernelFresh reports whether a baked kernel exists and still matches
 // the crossbar's generation — i.e. whether MACRead currently takes the
-// fast path.
+// fast path rather than the dense walk (unbaked) or ErrStaleKernel.
 func (c *Crossbar) KernelFresh() bool {
 	return c.kern != nil && c.kern.gen == c.gen
 }
 
-// DropKernel discards the baked kernel, forcing the dense path.
+// DropKernel discards the baked kernel, returning the array to the
+// dense reference walk.
 func (c *Crossbar) DropKernel() { c.kern = nil }
 
 // Generation returns the crossbar's mutation counter. Every mutator of
@@ -121,9 +129,11 @@ func (c *Crossbar) invalidate() { c.gen++ }
 // scan the input itself. A wrong active list silently corrupts the
 // result, so only pass lists derived from the same input slice.
 //
-// Like MACRead, it has no wear side effects and may run on any number
-// of goroutines against a programmed array, as long as nothing mutates
-// the array meanwhile.
+// Like MACRead, it mutates nothing and may run on any number of
+// goroutines against a programmed array, as long as nothing mutates the
+// array meanwhile. An unbaked array takes the dense walk; a baked one
+// whose kernel is stale returns ErrStaleKernel and leaves dst
+// unspecified.
 //
 //nebula:hotpath
 func (c *Crossbar) MACReadInto(dst, input []float64, active []int, noise *rng.Rand, stats *Stats) error {
@@ -133,10 +143,13 @@ func (c *Crossbar) MACReadInto(dst, input []float64, active []int, noise *rng.Ra
 	var activeN int
 	var currentSum float64
 	var err error
-	if k := c.kern; k != nil && k.gen == c.gen {
-		activeN, currentSum, err = c.macKernel(k, dst, input, active, noise)
-	} else {
+	switch k := c.kern; {
+	case k == nil:
 		activeN, currentSum, err = c.macComputeInto(dst, input, noise)
+	case k.gen != c.gen:
+		return ErrStaleKernel
+	default:
+		activeN, currentSum, err = c.macKernel(k, dst, input, active, noise)
 	}
 	if err != nil {
 		return err
@@ -205,7 +218,7 @@ func (c *Crossbar) macKernel(k *readKernel, dst, input []float64, active []int, 
 	}
 	// Finalize per column in index order so the read-noise draws stay in
 	// the dense path's stream order; dead sense lines read 0 and draw no
-	// noise, exactly as macCompute skips them.
+	// noise, exactly as the dense walk skips them.
 	sigma := c.Cfg.ReadNoiseSigma
 	for col := 0; col < cols; col++ {
 		if k.colDead[col] {
@@ -222,11 +235,11 @@ func (c *Crossbar) macKernel(k *readKernel, dst, input []float64, active []int, 
 	return activeN, currentSum, nil
 }
 
-// ErrStaleKernel is returned by MACReadPacked when no fresh baked
-// kernel exists. Unlike MACReadInto, the packed path has no dense
-// fallback of its own — the packed mask cannot drive macCompute's
-// full-width walk — so the caller must fall back (typically by
-// materializing indices and using MACReadInto).
+// ErrStaleKernel is returned by a read of a baked array whose kernel a
+// mutation has outdated (MACRead, MACReadInto, MACReadPacked), and by
+// MACReadPacked on an array that was never baked: the packed walk has no
+// dense reference form. The owner of the array rebakes after mutating
+// it; a read never falls back silently.
 var ErrStaleKernel = errors.New("crossbar: read kernel stale or missing")
 
 // MACReadPacked is the event-driven read: the active rows arrive as a
@@ -251,6 +264,8 @@ var ErrStaleKernel = errors.New("crossbar: read kernel stale or missing")
 //     iff input[i] != 0. Dead-row bits stay set (they count toward
 //     IR drop, exactly like MACReadInto's active list). Trailing
 //     words may be omitted entirely.
+//   - the array must be baked: an unbaked array has no packed walk
+//     and returns ErrStaleKernel, like a stale one.
 //
 // The accumulation visits rows in increasing order with the same
 // operation grouping as the dense walk, so results are bitwise

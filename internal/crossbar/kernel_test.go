@@ -76,8 +76,9 @@ func assertBitwise(t *testing.T, tag string, want, got []float64) {
 
 // readPair drives one identical read through both twins — the reference
 // on the dense path, the subject on whatever path its kernel state
-// selects — with identically seeded noise streams, and returns both
-// results plus the subject's explicit-active-list result.
+// selects (dense when unbaked, the kernel when fresh) — with identically
+// seeded noise streams, and returns both results plus the subject's
+// explicit-active-list result.
 func readPair(t *testing.T, ref, sub *Crossbar, in []float64, act []int, noiseSeed uint64) (want, got, gotAct []float64) {
 	t.Helper()
 	want, err := ref.MACRead(in, rng.New(noiseSeed), nil)
@@ -93,6 +94,22 @@ func readPair(t *testing.T, ref, sub *Crossbar, in []float64, act []int, noiseSe
 		t.Fatal(err)
 	}
 	return want, got, gotAct
+}
+
+// assertStaleRefuses requires every read entry point of a baked array
+// whose kernel a mutation has outdated to refuse with ErrStaleKernel
+// rather than fall back to the dense walk.
+func assertStaleRefuses(t *testing.T, tag string, c *Crossbar, in []float64, act []int) {
+	t.Helper()
+	if _, err := c.MACRead(in, nil, nil); !errors.Is(err, ErrStaleKernel) {
+		t.Fatalf("%s: stale MACRead: got %v, want ErrStaleKernel", tag, err)
+	}
+	if err := c.MACReadInto(make([]float64, c.Cols), in, act, nil, nil); !errors.Is(err, ErrStaleKernel) {
+		t.Fatalf("%s: stale MACReadInto: got %v, want ErrStaleKernel", tag, err)
+	}
+	if err := c.MACReadPacked(make([]float64, c.Cols), in, packMask(in), nil, nil); !errors.Is(err, ErrStaleKernel) {
+		t.Fatalf("%s: stale MACReadPacked: got %v, want ErrStaleKernel", tag, err)
+	}
 }
 
 // TestMACReadKernelBitwise is the core differential test: across random
@@ -308,10 +325,9 @@ func TestFreshnessTableMatchesGenstamp(t *testing.T) {
 		}
 	}
 	// The complement direction: mutators the analyzer sees beyond the
-	// table. MAC mutates only through stochastic read disturb (its own
-	// invalidation is exercised by the interleaved property test), and
-	// the unexported helpers are reached through exported entries.
-	known := map[string]bool{"MAC": true, "writeDevice": true, "applyReadDisturb": true}
+	// table. The one unexported helper is reached through exported
+	// entries (WritePair, CompensatePair, Refresh).
+	known := map[string]bool{"writeDevice": true}
 	tabled := map[string]bool{}
 	for _, tc := range freshnessTable {
 		tabled[tc.name] = true
@@ -336,14 +352,15 @@ func keysOf(m map[string][]string) []string {
 // invalidation contract: a random interleaving of fault injection,
 // repair, scrubbing and retention ticks is applied identically to both
 // twins while the subject rebakes only sometimes — so reads land on
-// fresh kernels, stale-and-fallen-back kernels and the dense path in
-// random succession — and every read must stay bitwise identical to the
-// kernel-free reference.
+// fresh and stale kernels in random succession. Every read of a fresh
+// kernel must stay bitwise identical to the kernel-free reference, and
+// every read of a stale one must refuse with ErrStaleKernel.
 func TestKernelInvalidationInterleaved(t *testing.T) {
 	const rows, cols = 48, 32
 	ref, sub := newTwin(0xFEED, rows, cols, kernelCfg())
 	sub.BakeKernel()
 	r := rng.New(0xDECAF)
+	stale := 0
 
 	// Each op mutates both twins with identical arguments and reports
 	// whether it is guaranteed to have invalidated the kernel.
@@ -405,10 +422,48 @@ func TestKernelInvalidationInterleaved(t *testing.T) {
 			sub.BakeKernel()
 		}
 		in, act := sparseInput(r, rows, r.Float64())
-		want, got, gotAct := readPair(t, ref, sub, in, act, r.Uint64())
+		noiseSeed := r.Uint64()
+		if !sub.KernelFresh() {
+			stale++
+			assertStaleRefuses(t, "interleaved", sub, in, act)
+			continue
+		}
+		want, got, gotAct := readPair(t, ref, sub, in, act, noiseSeed)
 		assertBitwise(t, "interleaved/scan", want, got)
 		assertBitwise(t, "interleaved/active", want, gotAct)
 	}
+	if stale == 0 {
+		t.Fatal("no read landed on a stale kernel; the interleaving exercised nothing")
+	}
+}
+
+// TestMACReadIntoStaleKernel pins the one read rule of an array: never
+// baked, it reads through the dense reference walk; baked, it reads
+// through a fresh kernel or refuses with ErrStaleKernel once a mutation
+// has outdated the kernel — never a silent dense fallback. A rebake
+// restores the read, and DropKernel returns the array to the dense walk.
+func TestMACReadIntoStaleKernel(t *testing.T) {
+	ref, sub := newTwin(5, 24, 16, kernelCfg())
+	in, act := sparseInput(rng.New(1), 24, 0.5)
+	check := func(tag string) {
+		t.Helper()
+		want, got, gotAct := readPair(t, ref, sub, in, act, 3)
+		assertBitwise(t, tag+"/scan", want, got)
+		assertBitwise(t, tag+"/active", want, gotAct)
+	}
+	check("unbaked")
+	sub.BakeKernel()
+	check("baked")
+	ref.Tick(10)
+	sub.Tick(10)
+	assertStaleRefuses(t, "tick", sub, in, act)
+	sub.BakeKernel()
+	check("rebaked")
+	ref.KillRow(act[0])
+	sub.KillRow(act[0])
+	assertStaleRefuses(t, "kill", sub, in, act)
+	sub.DropKernel()
+	check("dropped")
 }
 
 // FuzzMACReadKernel lets the fuzzer search for a geometry, sparsity,
@@ -540,7 +595,7 @@ func TestMACReadPackedBitwise(t *testing.T) {
 	}
 }
 
-// TestMACReadPackedStaleKernel pins the fallback contract: without a
+// TestMACReadPackedStaleKernel pins the refusal contract: without a
 // fresh kernel the packed path refuses with ErrStaleKernel rather than
 // silently computing on stale terms.
 func TestMACReadPackedStaleKernel(t *testing.T) {

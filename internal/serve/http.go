@@ -157,6 +157,12 @@ func decodeInput(req InferRequest) (*tensor.Tensor, error) {
 		if d < 1 {
 			return nil, errors.New("shape dimensions must be positive")
 		}
+		// Reject a dimension that would push the product past the input
+		// length before multiplying: n stays ≤ len(input), so the
+		// product can never wrap around and pass the check below.
+		if d > len(req.Input)/n {
+			return nil, errors.New("shape does not match input length")
+		}
 		n *= d
 	}
 	if n != len(req.Input) {

@@ -61,6 +61,8 @@ func TestHTTPInferBadRequest(t *testing.T) {
 		"empty":     {},
 		"bad-shape": {Input: []float64{1, 2, 3}, Shape: []int{2, 2}},
 		"zero-dim":  {Input: []float64{1}, Shape: []int{0}},
+		// 3 × 6148914691236517206 wraps to 2 in 64-bit arithmetic.
+		"overflowing-shape": {Input: []float64{0.5, 0.5}, Shape: []int{3, 6148914691236517206}},
 	} {
 		w := postJSON(t, h, "/v1/infer", body)
 		if w.Code != http.StatusBadRequest {
@@ -72,6 +74,17 @@ func TestHTTPInferBadRequest(t *testing.T) {
 		}
 		if e.Kind != "bad_request" {
 			t.Fatalf("%s: kind %q, want bad_request", name, e.Kind)
+		}
+		// The stream endpoint answers the same request line with an
+		// inline bad_request (its HTTP status is committed to 200 before
+		// the first line is read).
+		w = postJSON(t, h, "/v1/infer/stream", body)
+		e = ErrorResponse{}
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: stream answer %q: %v", name, w.Body.String(), err)
+		}
+		if w.Code != http.StatusOK || e.Kind != "bad_request" {
+			t.Fatalf("%s: stream status %d kind %q, want an inline bad_request", name, w.Code, e.Kind)
 		}
 	}
 	// Method mapping.

@@ -150,21 +150,6 @@ func (p *Plane) AsView(words []uint64, n int, binary bool) {
 	p.binary = binary
 }
 
-// AppendIndices appends the active indices in increasing order to dst
-// and returns the extended slice (recycled-append idiom: pass
-// dst[:0] to reuse capacity).
-func (p *Plane) AppendIndices(dst []int) []int {
-	for wi, w := range p.words {
-		base := wi << 6
-		for w != 0 {
-			//nebula:lint-ignore hotalloc cold stale-kernel fallback; callers recycle via dst[:0] so growth amortizes to zero
-			dst = append(dst, base+bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
 // Iter returns an iterator over the active indices in increasing
 // order. The iterator is a value type; no allocation.
 //

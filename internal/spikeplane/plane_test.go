@@ -66,18 +66,6 @@ func TestPlaneMatchesDenseReference(t *testing.T) {
 			if gi, ok := it.Next(); ok {
 				t.Fatalf("n=%d d=%g: iter yielded extra index %d", n, d, gi)
 			}
-
-			// AppendIndices agrees, including capacity reuse.
-			buf := make([]int, 0, 4)
-			got := p.AppendIndices(buf[:0])
-			if len(got) != len(want) {
-				t.Fatalf("n=%d d=%g: AppendIndices len %d want %d", n, d, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d d=%g: AppendIndices[%d]=%d want %d", n, d, i, got[i], want[i])
-				}
-			}
 		}
 	}
 }
@@ -92,10 +80,10 @@ func TestPlaneGradedValues(t *testing.T) {
 		t.Fatalf("Count=%d want 3", got)
 	}
 	want := []int{1, 3, 4}
-	got := p.AppendIndices(nil)
+	it := p.Iter()
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("index %d: got %d want %d", i, got[i], want[i])
+		if got, ok := it.Next(); !ok || got != want[i] {
+			t.Fatalf("index %d: got (%d,%v) want %d", i, got, ok, want[i])
 		}
 	}
 
