@@ -6,7 +6,7 @@ GO ?= go
 # to make a build pass.
 COVER_FLOOR ?= 76.0
 
-.PHONY: build test race lint flow-lint fmt-check smoke bench-smoke chaos-smoke serve-smoke cover obs-check kernel-check image-check sparse-check verify
+.PHONY: build test race lint flow-lint fmt-check smoke bench-smoke chaos-smoke serve-smoke cover obs-check kernel-check image-check sparse-check train-check verify
 
 build:
 	$(GO) build ./...
@@ -116,4 +116,14 @@ image-check:
 	$(GO) test -race -count=1 ./internal/image
 	@echo "chip images byte-deterministic; loaded sessions bitwise identical"
 
-verify: build fmt-check lint flow-lint test race smoke bench-smoke chaos-smoke serve-smoke cover obs-check kernel-check image-check sparse-check
+# Training-kernel identity gate (DESIGN.md §16): the register-tiled and
+# Into matmul/im2col kernels against their naive oracles (the
+# differential fuzz seeds included), then the sample-parallel Conv2D
+# against the sequential per-sample oracle at GOMAXPROCS 1, 4 and
+# NumCPU, under the race detector.
+train-check:
+	$(GO) test -race -count=1 ./internal/tensor
+	$(GO) test -race -count=1 ./internal/nn -run 'TestConv2DParallelBitwise|TestConv2DSteadyStateAllocs'
+	@echo "training kernels bitwise identical to the sequential oracle"
+
+verify: build fmt-check lint flow-lint test race smoke bench-smoke chaos-smoke serve-smoke cover obs-check kernel-check image-check sparse-check train-check

@@ -1106,6 +1106,9 @@ func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStream
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	if s.inputLen > 0 && input.Size() != s.inputLen {
+		return nil, nil, &InputError{Len: input.Size(), Want: s.inputLen}
+	}
 	env := &execEnv{hops: s.engineHops}
 	if s.rec != nil {
 		env.shard = obs.NewRunRecord(s.obsLayout, s.traceOn)

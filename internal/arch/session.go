@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -77,6 +78,53 @@ func (e *CompileError) Error() string {
 
 // Unwrap exposes the cause to errors.Is / errors.As.
 func (e *CompileError) Unwrap() error { return e.Err }
+
+// ErrBadInput marks a run input the compiled model cannot consume. A
+// session refuses such an input before doing any work, so the request,
+// not the session or its replica, is at fault. errors.Is matches it
+// through the batch and pool wrappers; *InputError carries the detail.
+var ErrBadInput = errors.New("arch: bad input")
+
+// InputError reports a run input whose element count differs from the
+// count the compiled model consumes.
+type InputError struct {
+	// Len is the input's element count; Want is the model's.
+	Len, Want int
+}
+
+// Error implements error.
+func (e *InputError) Error() string {
+	return fmt.Sprintf("arch: input length %d, want %d", e.Len, e.Want)
+}
+
+// Is makes errors.Is(err, ErrBadInput) match.
+func (e *InputError) Is(target error) bool { return target == ErrBadInput }
+
+// modelInputLen returns the element count a run input must have: the
+// declared input shape's, else the fan-in of a leading dense or read-out
+// stage, else 0 — the model alone does not fix it, and the input's own
+// shape drives the walk.
+func modelInputLen(model *convert.Converted, shape []int) int {
+	if len(shape) > 0 {
+		n := 1
+		for _, d := range shape {
+			n *= d
+		}
+		return n
+	}
+	for _, st := range model.Stages {
+		switch v := model.SNN.Layers[st.SNNLayer].(type) {
+		case *snn.Flatten:
+			continue
+		case *snn.Dense:
+			return v.W.Dim(1)
+		case *snn.Output:
+			return v.W.Dim(1)
+		}
+		return 0
+	}
+	return 0
+}
 
 // EncoderFactory builds a per-run input encoder from that run's private
 // RNG stream. It must not capture shared mutable state: the engine calls
@@ -284,6 +332,9 @@ type Session struct {
 	// (ModeANN: all stages; ModeHybrid: the tail from the cut).
 	snnStages []*stageHW
 	annStages []*annStageHW
+	// inputLen is the element count every run input must have (0: not
+	// fixed by the model).
+	inputLen int
 	// lambda is the activation scale at the hybrid boundary.
 	lambda float64
 
@@ -364,7 +415,7 @@ func (ch *Chip) compile(model *convert.Converted, cfg sessionConfig) (*Session, 
 	// exactly this compilation's BIST/repair work.
 	healthBefore := ch.health
 
-	s := &Session{chip: ch, cfg: cfg, model: model}
+	s := &Session{chip: ch, cfg: cfg, model: model, inputLen: modelInputLen(model, cfg.InputShape)}
 	var err error
 	switch cfg.Mode {
 	case ModeANN:

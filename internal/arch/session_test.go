@@ -155,6 +155,44 @@ func TestSessionRunCanceledContext(t *testing.T) {
 	}
 }
 
+// TestSessionRejectsWrongLengthInput: an input whose element count is
+// not the model's is refused before any work with *InputError, for a
+// dense-first model (the leading stage's fan-in) in every mode and for
+// a conv model (the declared input shape), through Run and RunBatch.
+func TestSessionRejectsWrongLengthInput(t *testing.T) {
+	c, te := chipFixture(t)
+	conv, d := convFixture(t)
+	for _, tc := range []struct {
+		name string
+		c    *convert.Converted
+		good *tensor.Tensor
+		want int
+		opts []Option
+	}{
+		{"snn", c, sessionImages(t, te, 1)[0], 256, []Option{WithMode(ModeSNN), WithTimesteps(5)}},
+		{"ann", c, sessionImages(t, te, 1)[0], 256, []Option{WithMode(ModeANN)}},
+		{"hybrid", c, sessionImages(t, te, 1)[0], 256, []Option{WithMode(ModeHybrid), WithHybridSplit(1), WithTimesteps(5)}},
+		{"conv", conv, sessionImages(t, d, 1)[0], 4 * 8 * 8, []Option{WithMode(ModeSNN), WithTimesteps(5), WithInputShape(4, 8, 8)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess := compileSession(t, tc.c, tc.opts...)
+			ctx := context.Background()
+			_, err := sess.Run(ctx, tensor.New(7))
+			var ie *InputError
+			if !errors.As(err, &ie) || ie.Len != 7 || ie.Want != tc.want || !errors.Is(err, ErrBadInput) {
+				t.Fatalf("Run: got %v, want *InputError{7, %d}", err, tc.want)
+			}
+			_, err = sess.RunBatch(ctx, []*tensor.Tensor{tc.good, tensor.New(tc.want + 1)})
+			if !errors.As(err, &ie) || ie.Len != tc.want+1 {
+				t.Fatalf("RunBatch: got %v, want *InputError for input 1", err)
+			}
+			if _, err := sess.Run(ctx, tc.good); err != nil {
+				t.Fatalf("good input after bad ones: %v", err)
+			}
+		})
+	}
+}
+
 func TestSessionCompileErrorWrapsDegraded(t *testing.T) {
 	// When the BIST/protect pipeline refuses a core at compile time, the
 	// typed chain must survive: errors.As reaches both the *CompileError

@@ -307,7 +307,8 @@ func (p *Pool) RunBatch(ctx context.Context, inputs []*tensor.Tensor) ([]*arch.R
 // failure retry elsewhere until the budget or deadline runs out. When
 // no replica is serveable it falls back to an inline rescue (scrub or
 // emergency recompile) rather than failing fast — availability degrades
-// to latency, not errors.
+// to latency, not errors. An input the session refuses (arch.ErrBadInput)
+// fails at once, with no retry and no suspect mark.
 func (p *Pool) serve(ctx context.Context, input *tensor.Tensor, tk Ticket) (*arch.RunResult, error) {
 	var lastErr error
 	lastReplica := -1
@@ -339,7 +340,9 @@ func (p *Pool) serve(ctx context.Context, input *tensor.Tensor, tk Ticket) (*arc
 			return res, nil
 		}
 		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
+			// A cancelled request, or an input every replica would
+			// refuse the same way, is not the replica's fault.
+			if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) || errors.Is(err, arch.ErrBadInput) {
 				p.noteFailed()
 				return nil, err
 			}

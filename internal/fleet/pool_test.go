@@ -216,6 +216,37 @@ func TestPoolRetryBudgetExhaustedSurfaces(t *testing.T) {
 	}
 }
 
+// TestPoolWrongLengthInputKeepsReplicasHealthy: an input of the wrong
+// length is the request's fault. The pool must return the session's
+// typed error at once — no retry, no failover, no suspect mark — so one
+// bad request cannot take the replicas out of routing.
+func TestPoolWrongLengthInputKeepsReplicasHealthy(t *testing.T) {
+	c, _ := fleetFixture(t)
+	ctx := context.Background()
+	rec := &obs.FleetRecorder{}
+	pool, err := NewPool(ctx, Config{Replicas: 2, Factory: testFactory(c), Seed: fleetSeed, Rec: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = pool.Run(ctx, tensor.New(7))
+	var ie *arch.InputError
+	if !errors.Is(err, arch.ErrBadInput) || !errors.As(err, &ie) || ie.Len != 7 {
+		t.Fatalf("got %v, want an *arch.InputError for length 7", err)
+	}
+	if errors.Is(err, ErrExhausted) {
+		t.Fatalf("bad input consumed the retry budget: %v", err)
+	}
+	if st := pool.Stats(); st.Healthy != st.Replicas || st.Suspect != 0 {
+		t.Fatalf("after a bad request: %+v, want every replica healthy", st)
+	}
+	if s := rec.Stats(); s.Retries != 0 || s.Failovers != 0 || s.Failed != 1 {
+		t.Fatalf("bad input bookkeeping wrong: %+v", s)
+	}
+	if _, err := pool.Run(ctx, fleetImages(t, 1)[0]); err != nil {
+		t.Fatalf("good request after a bad one: %v", err)
+	}
+}
+
 func TestPoolRescueRecompilesWhenAllReplicasDead(t *testing.T) {
 	c, _ := fleetFixture(t)
 	ctx := context.Background()

@@ -184,6 +184,8 @@ func errorStatus(err error) (int, string) {
 			return http.StatusGatewayTimeout, "deadline_running"
 		}
 		return http.StatusGatewayTimeout, "deadline_queued"
+	case errors.Is(err, arch.ErrBadInput):
+		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, fleet.ErrExhausted):
 		return http.StatusServiceUnavailable, "exhausted"
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):

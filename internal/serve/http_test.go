@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 )
@@ -93,6 +95,45 @@ func TestHTTPInferBadRequest(t *testing.T) {
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET infer: status %d, want 405", w.Code)
+	}
+}
+
+// TestHTTPWrongLengthInput: a well-formed request whose input length the
+// model does not accept is answered 400 bad_request on /v1/infer and with
+// an inline bad_request on /v1/infer/stream, and leaves every replica in
+// routing.
+func TestHTTPWrongLengthInput(t *testing.T) {
+	s, pool := newTestServer(t, Config{BatchSize: 2, QueueDepth: 8}, 2, 10)
+	h := s.Handler(HandlerConfig{})
+	bad := InferRequest{Input: make([]float64, 7)}
+
+	w := postJSON(t, h, "/v1/infer", bad)
+	var e ErrorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	if w.Code != http.StatusBadRequest || e.Kind != "bad_request" {
+		t.Fatalf("infer: status %d kind %q (%s), want 400 bad_request", w.Code, e.Kind, e.Error)
+	}
+	if st := pool.Stats(); st.Healthy != st.Replicas {
+		t.Fatalf("after a bad infer request: %+v, want every replica healthy", st)
+	}
+
+	w = postJSON(t, h, "/v1/infer/stream", bad)
+	e = ErrorResponse{}
+	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil {
+		t.Fatalf("stream answer %q: %v", w.Body.String(), err)
+	}
+	if w.Code != http.StatusOK || e.Kind != "bad_request" {
+		t.Fatalf("stream: status %d kind %q (%s), want an inline bad_request", w.Code, e.Kind, e.Error)
+	}
+	if st := pool.Stats(); st.Healthy != st.Replicas {
+		t.Fatalf("after a bad stream request: %+v, want every replica healthy", st)
+	}
+
+	w = postJSON(t, h, "/v1/infer", InferRequest{Input: serveImages(t, 1)[0].Data()})
+	if w.Code != http.StatusOK {
+		t.Fatalf("good request after bad ones: status %d, body %s", w.Code, w.Body.String())
 	}
 }
 
@@ -248,6 +289,7 @@ func TestErrorStatusMapping(t *testing.T) {
 		{&DeadlineError{Stage: StageQueued, Err: context.DeadlineExceeded}, http.StatusGatewayTimeout, "deadline_queued"},
 		{&DeadlineError{Stage: StageRunning, Err: context.Canceled}, http.StatusGatewayTimeout, "deadline_running"},
 		{fleet.ErrExhausted, http.StatusServiceUnavailable, "exhausted"},
+		{fmt.Errorf("fleet: batch input 3: %w", &arch.InputError{Len: 7, Want: 256}), http.StatusBadRequest, "bad_request"},
 	} {
 		status, kind := errorStatus(tc.err)
 		if status != tc.status || kind != tc.kind {

@@ -350,8 +350,11 @@ func TestServeDeadlineMidBatch(t *testing.T) {
 	imgs := serveImages(t, 2)
 	want := goldenRuns(t, imgs, 3000)
 	// Batch 2, two replicas: both requests dispatch in one batch and run
-	// concurrently; timesteps 3000 gives a wide cancellation window.
-	s, pool := newTestServer(t, Config{BatchSize: 2, QueueDepth: 8}, 2, 3000)
+	// concurrently; timesteps 3000 gives a wide cancellation window. The
+	// coalesce deadline holds the batch open until the second request
+	// arrives: a greedy dispatcher would flush the first one alone
+	// whenever this goroutine is descheduled between the two Submits.
+	s, pool := newTestServer(t, Config{BatchSize: 2, MaxDelay: 30 * time.Second, QueueDepth: 8}, 2, 3000)
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
 	p0, err := s.Submit(context.Background(), imgs[0])

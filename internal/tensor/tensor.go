@@ -295,103 +295,6 @@ func Dot(a, b *Tensor) float64 {
 	return s
 }
 
-// MatMul multiplies a (m×k) by b (k×n) and returns an m×n tensor.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic("tensor: MatMul requires 2-D operands")
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimensions differ: %v × %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	// ikj loop order for cache-friendly access to b and out rows.
-	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 {
-				continue
-			}
-			brow := b.data[kk*n : (kk+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// MatMulTransB multiplies a (m×k) by bᵀ where b is n×k, returning m×n.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic("tensor: MatMulTransB requires 2-D operands")
-	}
-	out := New(a.shape[0], b.shape[0])
-	MatMulTransBInto(out, a, b)
-	return out
-}
-
-// MatMulTransBInto is MatMulTransB writing into a caller-provided m×n
-// destination, so per-timestep callers reuse one accumulator buffer.
-// Every element of out is assigned.
-//
-//nebula:hotpath
-func MatMulTransBInto(out, a, b *Tensor) {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic("tensor: MatMulTransB requires 2-D operands")
-	}
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dimensions differ: %v × %vᵀ", a.shape, b.shape))
-	}
-	if out.NDim() != 2 || out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransB destination %v, want [%d %d]", out.shape, m, n))
-	}
-	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.data[j*k : (j+1)*k]
-			s := 0.0
-			for kk, av := range arow {
-				s += av * brow[kk]
-			}
-			orow[j] = s
-		}
-	}
-}
-
-// MatMulTransA multiplies aᵀ (where a is k×m) by b (k×n), returning m×n.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic("tensor: MatMulTransA requires 2-D operands")
-	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dimensions differ: %vᵀ × %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	for kk := 0; kk < k; kk++ {
-		arow := a.data[kk*m : (kk+1)*m]
-		brow := b.data[kk*n : (kk+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.data[i*n : (i+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
 // Transpose returns a new tensor that is the transpose of a 2-D tensor.
 func (t *Tensor) Transpose() *Tensor {
 	if t.NDim() != 2 {
@@ -411,81 +314,6 @@ func (t *Tensor) Transpose() *Tensor {
 // given input size, kernel, stride and padding.
 func ConvOutSize(in, kernel, stride, pad int) int {
 	return (in+2*pad-kernel)/stride + 1
-}
-
-// Im2Col unfolds a single image (C×H×W) into a matrix of shape
-// (C*KH*KW) × (OH*OW) so that convolution becomes a matrix multiply.
-// Padding positions read as zero.
-func Im2Col(img *Tensor, kh, kw, stride, pad int) *Tensor {
-	if img.NDim() != 3 {
-		panic("tensor: Im2Col requires a C×H×W tensor")
-	}
-	c, h, w := img.shape[0], img.shape[1], img.shape[2]
-	oh := ConvOutSize(h, kh, stride, pad)
-	ow := ConvOutSize(w, kw, stride, pad)
-	out := New(c*kh*kw, oh*ow)
-	for ch := 0; ch < c; ch++ {
-		chBase := ch * h * w
-		for ki := 0; ki < kh; ki++ {
-			for kj := 0; kj < kw; kj++ {
-				row := ((ch*kh)+ki)*kw + kj
-				rowBase := row * oh * ow
-				for oi := 0; oi < oh; oi++ {
-					ii := oi*stride + ki - pad
-					if ii < 0 || ii >= h {
-						continue
-					}
-					srcBase := chBase + ii*w
-					dstBase := rowBase + oi*ow
-					for oj := 0; oj < ow; oj++ {
-						jj := oj*stride + kj - pad
-						if jj < 0 || jj >= w {
-							continue
-						}
-						out.data[dstBase+oj] = img.data[srcBase+jj]
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Col2Im folds a (C*KH*KW) × (OH*OW) column matrix back into a C×H×W
-// image, accumulating overlapping contributions. It is the adjoint of
-// Im2Col and is used for convolution backward passes.
-func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
-	oh := ConvOutSize(h, kh, stride, pad)
-	ow := ConvOutSize(w, kw, stride, pad)
-	if cols.NDim() != 2 || cols.shape[0] != c*kh*kw || cols.shape[1] != oh*ow {
-		panic(fmt.Sprintf("tensor: Col2Im shape %v incompatible with c=%d h=%d w=%d k=%dx%d", cols.shape, c, h, w, kh, kw))
-	}
-	img := New(c, h, w)
-	for ch := 0; ch < c; ch++ {
-		chBase := ch * h * w
-		for ki := 0; ki < kh; ki++ {
-			for kj := 0; kj < kw; kj++ {
-				row := ((ch*kh)+ki)*kw + kj
-				rowBase := row * oh * ow
-				for oi := 0; oi < oh; oi++ {
-					ii := oi*stride + ki - pad
-					if ii < 0 || ii >= h {
-						continue
-					}
-					dstBase := chBase + ii*w
-					srcBase := rowBase + oi*ow
-					for oj := 0; oj < ow; oj++ {
-						jj := oj*stride + kj - pad
-						if jj < 0 || jj >= w {
-							continue
-						}
-						img.data[dstBase+jj] += cols.data[srcBase+oj]
-					}
-				}
-			}
-		}
-	}
-	return img
 }
 
 // Slice4D returns the i-th item of a 4-D NCHW tensor as a C×H×W view
