@@ -110,7 +110,8 @@ sparse-check:
 # model and options must emit byte-identical images, a session loaded
 # from an image must re-save to the exact same bytes, and loaded
 # sessions must reproduce compiled outputs and obs snapshots bit for
-# bit, under the race detector.
+# bit — on clean chips and, in TestImageRoundTripBitwiseFaulted, on a
+# faulted, repaired and spare-remapped one — under the race detector.
 image-check:
 	$(GO) test -race -count=1 ./internal/arch -run 'TestImageByteIdenticalAcrossCompiles|TestImageStableAcrossLoad|TestImageRoundTripBitwise'
 	$(GO) test -race -count=1 ./internal/image

@@ -10,8 +10,7 @@
 //
 // Experiments: fig1, fig4, fig9, fig10, fig12, fig13a, fig13b, fig14,
 // fig15, fig16, fig17, table1, table2, table3, noise, ablations,
-// sensitivity, profile, faults, session, kernel, obs, resilience,
-// compile, serve, all.
+// sensitivity, profile, faults, obs, resilience, serve, all.
 //
 // The resilience experiment replays a seeded chaos storm (drift bursts,
 // stuck-device onset, replica kills, run faults, deadline pressure)
@@ -20,23 +19,11 @@
 // counters (-resout, default BENCH_resilience.json); -res-smoke runs
 // the tiny chaos-smoke shape `make chaos-smoke` gates under -race.
 //
-// The session experiment times the program-once / run-many engine
-// (sequential vs batched at -parallel workers) and records the baseline
-// in a JSON file (-benchout, default BENCH_session.json). The kernel
-// experiment times a MACRead sweep across activity levels, frozen read
-// kernel against the dense reference, and records the speedups
-// (-kernelout, default BENCH_kernel.json); the session-level
-// kernel-off and dense-walk comparisons are `go test -bench Oracle
-// ./internal/arch`. The obs
-// experiment streams a batch through observed sessions in every mode
-// and records the counter snapshots plus their energy attribution
+// The obs experiment streams a batch through observed sessions in every
+// mode and records the counter snapshots plus their energy attribution
 // (-obsout, default BENCH_obs.json); the record carries no timings, so
-// it is bitwise identical at any -parallel — the CI determinism gate
-// diffs it across parallelism levels. The compile experiment times a
-// full compile (programming, fault injection, BIST) against rehydrating
-// the same session from its versioned chip image, verifies the loaded
-// session is bitwise identical, and records the speedup and image size
-// (-compileout, default BENCH_compile.json).
+// it is bitwise identical at any -parallel — `make obs-check` diffs it
+// across parallelism levels.
 //
 // The serve experiment drives the dynamic-batching inference frontend
 // (internal/serve): a determinism phase replays one request sequence
@@ -79,12 +66,9 @@ func run() int {
 	samples := flag.Int("samples", 30, "test images per accuracy measurement")
 	trials := flag.Int("trials", 3, "Monte-Carlo trials for the noise study")
 	csvDir := flag.String("csv", "", "also write per-experiment CSV files into this directory")
-	parallel := flag.Int("parallel", 0, "worker count for the session experiment (0 = NumCPU)")
-	benchOut := flag.String("benchout", "BENCH_session.json", "output path for the session throughput record")
+	parallel := flag.Int("parallel", 0, "worker count for the obs experiment (0 = NumCPU)")
 	obsOut := flag.String("obsout", "BENCH_obs.json", "output path for the observability counter record")
-	kernelOut := flag.String("kernelout", "BENCH_kernel.json", "output path for the frozen-kernel speedup record")
 	resOut := flag.String("resout", "BENCH_resilience.json", "output path for the resilience chaos-study record")
-	compileOut := flag.String("compileout", "BENCH_compile.json", "output path for the compile-vs-image-load record")
 	serveOut := flag.String("serveout", "BENCH_serve.json", "output path for the serving-tier load-study record")
 	resSmoke := flag.Bool("res-smoke", false, "run the resilience experiment at chaos-smoke scale")
 	serveSmoke := flag.Bool("serve-smoke", false, "run the serve experiment at smoke scale (clock-free determinism phase only)")
@@ -270,20 +254,11 @@ func run() int {
 			writeCSV("sensitivity_baselines", func(f *os.File) error { return figio.SensitivityCSV(f, b) })
 			return nil
 		},
-		"session": func() error {
-			return runSessionBench(64, 40, *parallel, *benchOut)
-		},
-		"kernel": func() error {
-			return runKernelBench(*kernelOut)
-		},
 		"obs": func() error {
 			return runObsBench(16, 20, *parallel, *obsOut)
 		},
 		"resilience": func() error {
 			return runResilienceBench(*resSmoke, *resOut)
-		},
-		"compile": func() error {
-			return runCompileBench(16, 40, *compileOut)
 		},
 		"serve": func() error {
 			return runServeBench(*serveSmoke, *serveOut)
@@ -301,8 +276,8 @@ func run() int {
 	order := []string{
 		"fig1", "table3", "fig12", "fig13a", "fig13b", "fig14", "fig15",
 		"fig16", "fig17", "ablations", "sensitivity", "table1", "table2",
-		"fig4", "fig9", "fig10", "noise", "profile", "faults", "session",
-		"kernel", "obs", "resilience", "compile", "serve",
+		"fig4", "fig9", "fig10", "noise", "profile", "faults", "obs",
+		"resilience", "serve",
 	}
 
 	names := strings.Split(*exp, ",")

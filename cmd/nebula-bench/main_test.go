@@ -71,4 +71,11 @@ func TestRunFig1AndServeSmoke(t *testing.T) {
 	if code := run(); code != 2 {
 		t.Fatalf("run() with unknown experiment = %d, want 2", code)
 	}
+
+	// The retired timing experiments are unknown names like any other.
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	os.Args = []string{"nebula-bench", "-exp", "session"}
+	if code := run(); code != 2 {
+		t.Fatalf("run() with -exp session = %d, want 2", code)
+	}
 }

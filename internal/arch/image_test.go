@@ -11,10 +11,13 @@ import (
 	"testing"
 
 	"repro/internal/convert"
+	"repro/internal/crossbar"
 	"repro/internal/dataset"
+	"repro/internal/device"
 	"repro/internal/image"
 	"repro/internal/models"
 	"repro/internal/obs"
+	"repro/internal/reliability"
 	"repro/internal/rng"
 	"repro/internal/snn"
 	"repro/internal/tensor"
@@ -30,16 +33,18 @@ func imageBytes(t *testing.T, sess *Session) []byte {
 	return buf.Bytes()
 }
 
-// assertImageRoundTrip compiles a session, saves its chip image, and
-// checks that sessions loaded from the image reproduce the compiled
-// session's outputs, run statistics and exported observability
-// snapshot bit for bit, at every parallelism level the acceptance
-// criteria name.
-func assertImageRoundTrip(t *testing.T, c *convert.Converted, imgs []*tensor.Tensor, opts ...Option) {
+// assertImageRoundTrip compiles a session on chip, saves its chip
+// image, and checks that sessions loaded from the image reproduce the
+// compiled session's outputs, run statistics and exported observability
+// snapshot bit for bit, at parallelism 1, 4 and NumCPU.
+func assertImageRoundTrip(t *testing.T, chip *Chip, c *convert.Converted, imgs []*tensor.Tensor, opts ...Option) {
 	t.Helper()
 	ctx := context.Background()
 	recWant := obs.NewRecorder()
-	sess := compileSession(t, c, append(append([]Option(nil), opts...), WithObserver(recWant))...)
+	sess, err := chip.Compile(c, append(append([]Option(nil), opts...), WithObserver(recWant))...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	data := imageBytes(t, sess)
 	want, err := sess.RunBatch(ctx, imgs)
 	if err != nil {
@@ -85,19 +90,19 @@ func assertImageRoundTrip(t *testing.T, c *convert.Converted, imgs []*tensor.Ten
 
 func TestImageRoundTripBitwiseANN(t *testing.T) {
 	c, te := chipFixture(t)
-	assertImageRoundTrip(t, c, sessionImages(t, te, 6),
+	assertImageRoundTrip(t, sessionChip(), c, sessionImages(t, te, 6),
 		WithMode(ModeANN), WithSeed(42))
 }
 
 func TestImageRoundTripBitwiseSNN(t *testing.T) {
 	c, te := chipFixture(t)
-	assertImageRoundTrip(t, c, sessionImages(t, te, 6),
+	assertImageRoundTrip(t, sessionChip(), c, sessionImages(t, te, 6),
 		WithMode(ModeSNN), WithTimesteps(20), WithSeed(42))
 }
 
 func TestImageRoundTripBitwiseHybrid(t *testing.T) {
 	c, te := chipFixture(t)
-	assertImageRoundTrip(t, c, sessionImages(t, te, 6),
+	assertImageRoundTrip(t, sessionChip(), c, sessionImages(t, te, 6),
 		WithMode(ModeHybrid), WithHybridSplit(1), WithTimesteps(20), WithSeed(42))
 }
 
@@ -105,8 +110,41 @@ func TestImageRoundTripBitwiseConv(t *testing.T) {
 	// The conv stages' position-replica banks and the classifier's spill
 	// blocks are the geometry the loader must rebuild exactly.
 	c, d := convFixture(t)
-	assertImageRoundTrip(t, c, sessionImages(t, d, 4),
+	assertImageRoundTrip(t, sessionChip(), c, sessionImages(t, d, 4),
 		WithMode(ModeSNN), WithTimesteps(10), WithSeed(42), WithInputShape(4, 8, 8))
+}
+
+// TestImageRoundTripBitwiseFaulted covers the state a clean chip never
+// exports: injected device faults, write-verify repairs, compensated
+// pairs and spare-line remaps, under read noise. A session loaded from
+// the image must reproduce the faulted chip's compiled session bit for
+// bit. At fault rate 0.01 the repairs need no spare line; at 0.05 dead
+// lines are routed to spares, so the remap tables travel through the
+// image too.
+func TestImageRoundTripBitwiseFaulted(t *testing.T) {
+	c, te := chipFixture(t)
+	imgs := sessionImages(t, te, 6)
+	for _, tc := range []struct {
+		name      string
+		rate      float64
+		needRemap bool
+	}{
+		{"repaired", 0.01, false},
+		{"remapped", 0.05, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			chip := NewChip(device.DefaultParams(), crossbar.Config{ReadNoiseSigma: 0.05}, rng.New(91))
+			chip.Rel = reliability.StudyConfig(tc.rate, reliability.ProtectSpareRemap)
+			assertImageRoundTrip(t, chip, c, imgs, WithMode(ModeSNN), WithTimesteps(20), WithSeed(42))
+			h := chip.Health()
+			if h.DevicesFaulted == 0 || h.Repaired == 0 {
+				t.Fatalf("fixture injected or repaired nothing: %+v", h)
+			}
+			if tc.needRemap && h.RowsRemapped+h.ColsRemapped == 0 {
+				t.Fatalf("fixture remapped no line to a spare: %+v", h)
+			}
+		})
+	}
 }
 
 // TestImageByteIdenticalAcrossCompiles pins the determinism half of the

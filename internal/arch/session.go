@@ -276,9 +276,11 @@ func WithEncoder(f EncoderFactory) Option {
 	return func(c *sessionConfig) { c.encFactory = f; c.encCustom = true }
 }
 
-// WithInputShape declares the input tensor shape (c, h, w). Spiking
-// convolution stages need it at compile time to size their
-// position-replica neuron banks; dense-only models may omit it.
+// WithInputShape declares the input tensor shape (c, h, w). Compile
+// refuses a model with convolution stages without it, in every mode:
+// spiking conv stages size their position-replica neuron banks from it,
+// and every run input must match its element count. Dense-only models
+// may omit it.
 func WithInputShape(dims ...int) Option {
 	return func(c *sessionConfig) { c.InputShape = append([]int(nil), dims...) }
 }
@@ -402,6 +404,12 @@ func (ch *Chip) compile(model *convert.Converted, cfg sessionConfig) (*Session, 
 	}
 	if cfg.Mode != ModeANN && cfg.Timesteps < 1 {
 		return fail(fmt.Errorf("%s mode needs WithTimesteps ≥ 1, got %d", cfg.Mode, cfg.Timesteps))
+	}
+	if hasConv(model) && len(cfg.InputShape) != 3 {
+		// Every mode sizes conv geometry and the input-length check from
+		// the declared shape; without it a wrong-shaped input would reach
+		// the read-out instead of being refused as ErrBadInput.
+		return fail(fmt.Errorf("model has convolution stages; pass WithInputShape(c, h, w), got shape %v", cfg.InputShape))
 	}
 	if cfg.encFactory == nil {
 		gain := model.Cfg.Gain
@@ -567,21 +575,28 @@ func (s *Session) Parallelism(n int) int {
 	return p
 }
 
+// hasConv reports whether the model has a convolution stage.
+func hasConv(model *convert.Converted) bool {
+	for _, st := range model.Stages {
+		if st.Kind == "conv" {
+			return true
+		}
+	}
+	return false
+}
+
 // programPositions allocates and protects the position-replica banks of
 // spiking conv stages by propagating the input shape through the
-// pipeline. Dense-only pipelines need no shape.
+// pipeline. Compile has already refused a conv model without a (c, h, w)
+// shape; dense-only pipelines need none.
 func (ch *Chip) programPositions(stages []*stageHW, shape []int) error {
 	h, w := 0, 0
-	haveShape := len(shape) == 3
-	if haveShape {
+	if len(shape) == 3 {
 		h, w = shape[1], shape[2]
 	}
 	for _, s := range stages {
 		switch s.kind {
 		case "conv":
-			if !haveShape {
-				return fmt.Errorf("model has convolution stages; pass WithInputShape(c, h, w) so position replicas can be sized at compile time")
-			}
 			oh := tensor.ConvOutSize(h, s.kh, s.stride, s.pad)
 			ow := tensor.ConvOutSize(w, s.kw, s.stride, s.pad)
 			if err := s.kmProgram(oh * ow * s.groups); err != nil {
@@ -592,10 +607,8 @@ func (ch *Chip) programPositions(stages []*stageHW, shape []int) error {
 			}
 			h, w = oh, ow
 		case "pool":
-			if haveShape {
-				h = tensor.ConvOutSize(h, s.pool.K, s.pool.Stride, 0)
-				w = tensor.ConvOutSize(w, s.pool.K, s.pool.Stride, 0)
-			}
+			h = tensor.ConvOutSize(h, s.pool.K, s.pool.Stride, 0)
+			w = tensor.ConvOutSize(w, s.pool.K, s.pool.Stride, 0)
 		}
 	}
 	return nil

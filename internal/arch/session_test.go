@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/convert"
@@ -157,8 +158,8 @@ func TestSessionRunCanceledContext(t *testing.T) {
 
 // TestSessionRejectsWrongLengthInput: an input whose element count is
 // not the model's is refused before any work with *InputError, for a
-// dense-first model (the leading stage's fan-in) in every mode and for
-// a conv model (the declared input shape), through Run and RunBatch.
+// dense-first model (the leading stage's fan-in) and for a conv model
+// (the declared input shape), in every mode, through Run and RunBatch.
 func TestSessionRejectsWrongLengthInput(t *testing.T) {
 	c, te := chipFixture(t)
 	conv, d := convFixture(t)
@@ -173,6 +174,8 @@ func TestSessionRejectsWrongLengthInput(t *testing.T) {
 		{"ann", c, sessionImages(t, te, 1)[0], 256, []Option{WithMode(ModeANN)}},
 		{"hybrid", c, sessionImages(t, te, 1)[0], 256, []Option{WithMode(ModeHybrid), WithHybridSplit(1), WithTimesteps(5)}},
 		{"conv", conv, sessionImages(t, d, 1)[0], 4 * 8 * 8, []Option{WithMode(ModeSNN), WithTimesteps(5), WithInputShape(4, 8, 8)}},
+		{"ann conv", conv, sessionImages(t, d, 1)[0], 4 * 8 * 8, []Option{WithMode(ModeANN), WithInputShape(4, 8, 8)}},
+		{"hybrid conv", conv, sessionImages(t, d, 1)[0], 4 * 8 * 8, []Option{WithMode(ModeHybrid), WithHybridSplit(2), WithTimesteps(5), WithInputShape(4, 8, 8)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sess := compileSession(t, tc.c, tc.opts...)
@@ -237,22 +240,26 @@ func TestSessionCompileValidation(t *testing.T) {
 	}
 }
 
+// TestSessionCompileConvNeedsShape pins that a conv model compiles only
+// with a (c, h, w) input shape, in every mode: without it no input
+// length is fixed, and a wrong-shaped input would reach the read-out
+// instead of being refused as ErrBadInput.
 func TestSessionCompileConvNeedsShape(t *testing.T) {
-	r := rng.New(19)
-	net := nn.NewNetwork("dw",
-		nn.NewConv2D("dw", 4, 4, 3, 3, 1, 1, 4, r),
-		nn.NewReLU("relu"),
-		nn.NewFlatten("flat"),
-		nn.NewLinear("fc", 4*8*8, 4, r),
-	)
-	d := dataset.Generate(dataset.Spec{Name: "x", Classes: 4, Channels: 4, Size: 8, Noise: 0.1, Jitter: 1}, 16, 1)
-	c, err := convert.Convert(net, d, convert.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sessionChip().Compile(c, WithMode(ModeSNN), WithTimesteps(5))
-	var ce *CompileError
-	if !errors.As(err, &ce) {
-		t.Fatalf("conv model without WithInputShape: want *CompileError, got %v", err)
+	c, _ := convFixture(t)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"snn", []Option{WithMode(ModeSNN), WithTimesteps(5)}},
+		{"ann", []Option{WithMode(ModeANN)}},
+		{"hybrid", []Option{WithMode(ModeHybrid), WithHybridSplit(1), WithTimesteps(5)}},
+		{"hybrid conv tail", []Option{WithMode(ModeHybrid), WithHybridSplit(2), WithTimesteps(5)}},
+		{"ann flat shape", []Option{WithMode(ModeANN), WithInputShape(4 * 8 * 8)}},
+	} {
+		_, err := sessionChip().Compile(c, tc.opts...)
+		var ce *CompileError
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "WithInputShape") {
+			t.Fatalf("%s: conv model without a (c, h, w) shape: want *CompileError naming WithInputShape, got %v", tc.name, err)
+		}
 	}
 }

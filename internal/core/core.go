@@ -166,23 +166,6 @@ func (p *Pipeline) RunOnChip(imageIdx, T int) (*arch.RunResult, int, error) {
 	return res, label, err
 }
 
-// ChipConfig returns the pipeline's compile configuration for SNN-mode
-// inference over test-set-shaped images, as a round-trippable
-// arch.CompileConfig. This is the supported way to inspect or vary what
-// CompileChip compiles — start from it and pass cfg.Options() — instead
-// of assembling ad-hoc option lists or poking session internals.
-func (p *Pipeline) ChipConfig(T, parallelism int) arch.CompileConfig {
-	img, _ := p.Test.Sample(0)
-	return arch.CompileConfig{
-		Mode:        arch.ModeSNN,
-		Timesteps:   T,
-		Parallelism: parallelism,
-		Seed:        p.Sim.Seed,
-		SeedSet:     true,
-		InputShape:  append([]int(nil), img.Shape()...),
-	}
-}
-
 // CompileChip programs the converted network onto a fresh chip once and
 // returns a session for SNN-mode inference over test-set-shaped images:
 // the program-once / run-many path. Parallelism ≤ 0 uses all cores.
@@ -191,8 +174,14 @@ func (p *Pipeline) ChipConfig(T, parallelism int) arch.CompileConfig {
 // compile through the content-addressed chip-image cache, where a hit
 // rehydrates the session from disk instead of re-programming.
 func (p *Pipeline) CompileChip(T, parallelism int, opts ...arch.Option) (*arch.Session, error) {
-	return p.Sim.NewChip(nil).Compile(p.Converted,
-		append(p.ChipConfig(T, parallelism).Options(), opts...)...)
+	img, _ := p.Test.Sample(0)
+	return p.Sim.NewChip(nil).Compile(p.Converted, append([]arch.Option{
+		arch.WithMode(arch.ModeSNN),
+		arch.WithTimesteps(T),
+		arch.WithParallelism(parallelism),
+		arch.WithSeed(p.Sim.Seed),
+		arch.WithInputShape(img.Shape()...),
+	}, opts...)...)
 }
 
 // RunBatchOnChip compiles once and streams n consecutive test images
